@@ -19,13 +19,11 @@ from .census import (
     REFERENCE_TABLES,
     CensusResult,
     CycleType,
-    FixedPointSystem,
     brute_force_census,
     count_eulerian_classes,
     count_switching_classes,
     cycle_types,
     enumerate_eulerian_representatives,
-    fixed_point_system,
 )
 from .errors import NotCoprimeError, ResourceGuardError
 from .eulerian import (
@@ -79,7 +77,6 @@ __all__ = [
     "CycleType",
     "EULERIAN_ENUM_GUARD",
     "EquivWitness",
-    "FixedPointSystem",
     "IntMatrix",
     "NotCoprimeError",
     "ORBIT_GUARD",
@@ -108,7 +105,6 @@ __all__ = [
     "eulerize",
     "facets",
     "facets_via_isolations",
-    "fixed_point_system",
     "grmod_witness_as_lambdas",
     "independence_number",
     "is_face",

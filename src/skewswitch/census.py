@@ -1,12 +1,15 @@
 """Exact counts of switching classes and of Eulerian isomorphism classes.
 
-Both counts are orbit counts under the symmetric group and are evaluated
-with Burnside's lemma, grouped by cycle type so that size n costs one
-linear solve per partition of n instead of one per permutation.  Every
-fixed-point count reduces to counting solutions of an integer linear
-system mod l (count_solutions_mod), so composite moduli work unchanged.
-A brute-force census over all matrices doubles as an independent oracle
-at small sizes and produces canonical class representatives.
+The two counts are equal for every modulus and size (the duality argument
+is in count_switching_classes), so one Burnside sum serves both.  It is
+grouped by cycle type, so size n costs one solve per partition of n, and
+each solve is small: one variable per pair of mutually reversed orbits of
+vertex pairs, one row per self-reversed orbit and one per vertex cycle.
+Solutions are counted mod l through the Smith normal form
+(count_solutions_mod), so prime and composite moduli of any size take the
+same exact route.  A brute-force census over all matrices doubles as an
+independent oracle at small sizes and produces canonical class
+representatives.
 """
 
 from __future__ import annotations
@@ -21,17 +24,15 @@ import numpy as np
 
 from .errors import ResourceGuardError
 from .modlinalg import IntMatrix, count_solutions_mod
-from .skewmat import AltMatrix, Permutation
+from .skewmat import AltMatrix
 
 __all__ = [
     "BRUTE_GUARD",
     "EULERIAN_ENUM_GUARD",
     "REFERENCE_TABLES",
     "CycleType",
-    "FixedPointSystem",
     "CensusResult",
     "cycle_types",
-    "fixed_point_system",
     "count_eulerian_classes",
     "count_switching_classes",
     "brute_force_census",
@@ -67,25 +68,6 @@ class CycleType:
             raise ValueError(f"cycle lengths must be positive: {self.parts}")
         if any(a < b for a, b in zip(self.parts, self.parts[1:])):
             raise ValueError(f"cycle lengths must be nonincreasing: {self.parts}")
-
-
-@dataclass(frozen=True)
-class FixedPointSystem:
-    """Integer matrices describing one permutation's action on entry coordinates.
-
-    Entry coordinates are the upper-triangle positions (i, j), i < j, in lex
-    order.  `boundary` maps an entry coordinate to the difference of its two
-    endpoint coordinates (its kernel mod l is the Eulerian condition),
-    `switching` has as column v the entry change caused by switching at v
-    (its image mod l is the set of pure switching differences), and `action`
-    is the signed permutation matrix of the relabeling on entry coordinates.
-    """
-
-    size: int
-    sigma: Permutation
-    boundary: IntMatrix
-    switching: IntMatrix
-    action: IntMatrix
 
 
 @dataclass(frozen=True)
@@ -128,17 +110,6 @@ def cycle_types(size: int) -> tuple[CycleType, ...]:
     return tuple(out)
 
 
-def _cycle_permutation(size: int, parts: Sequence[int]) -> Permutation:
-    """A permutation of 1..size with the given cycle lengths on consecutive blocks."""
-    image = list(range(1, size + 1))
-    start = 0
-    for p in parts:
-        for k in range(p):
-            image[start + k] = start + 1 + (k + 1) % p
-        start += p
-    return tuple(image)
-
-
 def _pairs(size: int) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(size), 2))
 
@@ -179,115 +150,76 @@ def _inverse0(sigma0: Sequence[int]) -> list[int]:
     return inv
 
 
-def _boundary_matrix(size: int) -> IntMatrix:
-    npairs = size * (size - 1) // 2
-    rows = [[0] * npairs for _ in range(size)]
-    for k, (i, j) in enumerate(_pairs(size)):
-        rows[i][k] = -1
-        rows[j][k] = 1
-    return IntMatrix.from_rows(rows, npairs)
-
-
-def _switching_matrix(size: int) -> IntMatrix:
-    npairs = size * (size - 1) // 2
-    rows = [[0] * size for _ in range(npairs)]
-    for k, (i, j) in enumerate(_pairs(size)):
-        rows[k][i] = -1
-        rows[k][j] = 1
-    return IntMatrix.from_rows(rows, size)
-
-
-def _action_matrix(size: int, sigma: Permutation) -> IntMatrix:
-    pos, flip = _pair_action(size, _inverse0([s - 1 for s in sigma]))
-    npairs = len(pos)
-    rows = [[0] * npairs for _ in range(npairs)]
-    for k in range(npairs):
-        rows[k][pos[k]] = -1 if flip[k] else 1
-    return IntMatrix.from_rows(rows, npairs)
-
-
-def fixed_point_system(size: int, sigma: Permutation) -> FixedPointSystem:
-    """The three integer matrices whose joint solution counts drive both censuses."""
-    if sorted(sigma) != list(range(1, size + 1)):
-        raise ValueError(f"not a permutation of 1..{size}: {sigma}")
-    return FixedPointSystem(
-        size,
-        tuple(sigma),
-        _boundary_matrix(size),
-        _switching_matrix(size),
-        _action_matrix(size, sigma),
-    )
-
-
-def _minus_identity(a: IntMatrix) -> IntMatrix:
-    rows = [list(row) for row in a.entries]
-    for k in range(a.rows):
-        rows[k][k] -= 1
-    return IntMatrix.from_rows(rows, a.cols)
-
-
-def _negated(a: IntMatrix) -> IntMatrix:
-    return IntMatrix.from_rows([[-v for v in row] for row in a.entries], a.cols)
-
-
-def _vstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.cols != b.cols:
-        raise ValueError(f"column mismatch: {a.cols} vs {b.cols}")
-    return IntMatrix.from_rows(list(a.entries) + list(b.entries), a.cols)
-
-
-def _hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.rows != b.rows:
-        raise ValueError(f"row mismatch: {a.rows} vs {b.rows}")
-    rows = [list(ra) + list(rb) for ra, rb in zip(a.entries, b.entries)]
-    return IntMatrix.from_rows(rows, a.cols + b.cols)
-
-
 def _exact_div(value: int, divisor: int, what: str) -> int:
     if value % divisor:
         raise RuntimeError(f"{what} is not divisible by {divisor}: {value}")
     return value // divisor
 
 
+def _orbit_system(parts: Sequence[int]) -> IntMatrix:
+    """System whose solutions mod l are the Eulerian matrices fixed by cycle type `parts`.
+
+    A fixed matrix is constant on each orbit of ordered vertex pairs and
+    negated on the reversed orbit, so it has one variable per {orbit,
+    reversed orbit}.  On one cycle of length p the orbits are the offsets
+    d = 1..p-1, and offset d reverses to p - d; the orbit at d = p/2 is its
+    own reverse, which forces 2x = 0.  Between cycles of lengths p and q
+    there are g = gcd(p, q) orbits, each reversing into the opposite block.
+    Row sums are constant on each cycle, so the Eulerian condition is one
+    row per cycle: offsets d and p - d cancel in it, and each orbit between
+    two cycles is met q/g times from the first and -p/g times from the
+    second.
+    """
+    columns: list[dict[int, int]] = []  # per variable: its coefficient in each cycle's row
+    halves: list[int] = []  # variables of self-reversed orbits
+    for a, p in enumerate(parts):
+        for d in range(1, p // 2 + 1):
+            if 2 * d == p:
+                halves.append(len(columns))
+                columns.append({a: 1})
+            else:
+                columns.append({})
+        for b in range(a + 1, len(parts)):
+            q = parts[b]
+            g = math.gcd(p, q)
+            columns.extend({a: q // g, b: -(p // g)} for _ in range(g))
+    rows = [[2 if k == h else 0 for k in range(len(columns))] for h in halves]
+    rows += [[column.get(a, 0) for column in columns] for a in range(len(parts))]
+    return IntMatrix.from_rows(rows, len(columns))
+
+
 def count_eulerian_classes(modulus: int, size: int) -> int:
     """Number of isomorphism classes of Eulerian matrices (all row sums zero mod l).
 
-    Burnside count over cycle types: a matrix fixed by a relabeling is a
-    solution of the signed action minus the identity, and Eulerian means it
-    also lies in the kernel of the boundary map, so the two systems are
-    stacked and solutions counted mod l.
+    Burnside's lemma over cycle types: the Eulerian matrices fixed by a
+    relabeling are the solutions mod l of its orbit system, counted through
+    the Smith normal form.
     """
     _check_args(modulus, size)
-    total = 0
-    for ct in cycle_types(size):
-        system = fixed_point_system(size, _cycle_permutation(size, ct.parts))
-        stacked = _vstack(_minus_identity(system.action), system.boundary)
-        total += ct.class_size * count_solutions_mod(stacked, modulus)
-    return _exact_div(total, math.factorial(size), "Burnside sum for Eulerian classes")
+    total = sum(
+        ct.class_size * count_solutions_mod(_orbit_system(ct.parts), modulus)
+        for ct in cycle_types(size)
+    )
+    return _exact_div(total, math.factorial(size), "Burnside sum")
 
 
 def count_switching_classes(modulus: int, size: int) -> int:
     """Number of switching classes of skew matrices (switchings plus relabelings).
 
-    The orbit space is that of cosets of the switching image under
-    relabeling.  For each cycle type, solutions (x, a) of
-    (action - identity) x = switching a are counted in one block system;
-    dividing by the switching kernel size gives the number of x whose
-    displacement is a switching difference, and dividing by the image size
-    gives the number of fixed cosets.  All divisions must be exact.
+    Always equal to count_eulerian_classes, one relabeling at a time.  Let E
+    be the entry space, S: (Z/l)^n -> E the switching map and B = S^T the
+    boundary map, whose kernel is the Eulerian condition.  Switching classes
+    are the relabeling orbits on Q = E / Im S.  Relabelings act on E by
+    signed permutations, which preserve the standard pairing, and under that
+    pairing ker B is the annihilator of Im S: the Pontryagin dual of Q as a
+    module over each relabeling g.  On a finite abelian group
+    |ker(g - 1)| = |coker(g - 1)|, and the fixed points of g on the dual are
+    the dual of coker(g - 1), so g fixes as many points of Q as of ker B and
+    the two Burnside sums agree term by term.  For l = 2 this is Mallows and
+    Sloane's theorem that switching classes of graphs and Euler graphs are
+    equal in number.
     """
-    _check_args(modulus, size)
-    switching = _switching_matrix(size)
-    kernel = count_solutions_mod(switching, modulus)
-    image = _exact_div(modulus**size, kernel, "switching image size")
-    total = 0
-    for ct in cycle_types(size):
-        system = fixed_point_system(size, _cycle_permutation(size, ct.parts))
-        block = _hstack(_minus_identity(system.action), _negated(switching))
-        pairs = count_solutions_mod(block, modulus)
-        lifted = _exact_div(pairs, kernel, "fixed-displacement count")
-        total += ct.class_size * _exact_div(lifted, image, "fixed-coset count")
-    return _exact_div(total, math.factorial(size), "Burnside sum for switching classes")
+    return count_eulerian_classes(modulus, size)
 
 
 def _relabel_tables(size: int, with_triples: bool) -> list[tuple[np.ndarray, ...]]:

@@ -4,7 +4,8 @@ Matrices travel as JSON documents {"modulus": l, "size": n, "entries":
 [[...]]} or as plain text (a "modulus size" header line, then n rows).
 Verdict subcommands use the exit code for the mathematical answer so that
 shell pipelines can branch on it: 0 yes, 10 no, 2 bad input or usage,
-3 resource guard tripped.
+3 resource guard tripped.  `tables --check` answers 10 when a recomputed
+table differs from its published copy.
 """
 
 from __future__ import annotations
@@ -42,6 +43,13 @@ EXIT_USAGE = 2
 EXIT_GUARD = 3
 
 
+def _json_int(value: object, what: str) -> int:
+    # exact type: bool is a subclass of int, and int() would coerce floats and strings
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def _load_matrix(path: str) -> AltMatrix:
     text = Path(path).read_text(encoding="utf-8")
     if text.lstrip().startswith("{"):
@@ -49,7 +57,19 @@ def _load_matrix(path: str) -> AltMatrix:
         missing = {"modulus", "size", "entries"} - set(doc)
         if missing:
             raise ValueError(f"{path}: missing keys {sorted(missing)}")
-        return make(int(doc["modulus"]), int(doc["size"]), doc["entries"])
+        modulus = _json_int(doc["modulus"], f"{path}: modulus")
+        size = _json_int(doc["size"], f"{path}: size")
+        entries = doc["entries"]
+        if not isinstance(entries, list):
+            raise ValueError(f"{path}: entries must be a list of rows, got {json.dumps(entries)}")
+        for i, row in enumerate(entries, start=1):
+            if not isinstance(row, list):
+                raise ValueError(f"{path}: row {i} must be a list, got {json.dumps(row)}")
+            # the set of types is the fast check; the scan only finds the cell to name
+            if not set(map(type, row)) <= {int}:
+                j = [type(value) is int for value in row].index(False)
+                _json_int(row[j], f"{path}: entry ({i}, {j + 1})")
+        return make(modulus, size, entries)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty matrix file")
@@ -239,7 +259,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
                 print(f"  computed {list(computed)}")
         else:
             print(f"{what} modulus={modulus}: {list(expected)}")
-    return 1 if mismatched else EXIT_YES
+    return EXIT_NO if mismatched else EXIT_YES
 
 
 def _build_parser() -> argparse.ArgumentParser:

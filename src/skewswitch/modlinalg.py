@@ -1,11 +1,11 @@
 """Exact linear algebra over Z/lZ for arbitrary modulus l >= 2.
 
 Provides integer Smith normal form and exact counting of solutions of
-homogeneous systems A x = 0 (mod l).  The count is what the Burnside sums
-in :mod:`skewswitch.census` consume.  For prime moduli a Gaussian
-elimination fast path is used; composite moduli go through the Smith
-normal form, whose invariant factors determine the solution count for
-every modulus at once.
+homogeneous systems A x = 0 (mod l).  The count is what the Burnside sum
+in :mod:`skewswitch.census` consumes.  Every modulus, prime or composite
+and of any size, goes through the Smith normal form: its invariant
+factors are computed over the integers and determine the solution count
+for every modulus at once, so no fixed-width arithmetic is involved.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
-
-import numpy as np
 
 __all__ = [
     "IntMatrix",
@@ -152,56 +150,11 @@ def count_solutions_mod(a: IntMatrix, modulus: int) -> int:
 
     Computed as prod_i gcd(modulus, d_i) * modulus^(cols - slots) over the
     Smith diagonal (gcd(modulus, 0) = modulus, so each zero invariant
-    factor contributes a full free coordinate).  Prime moduli take a rank
-    computation over the field instead; the two routes agree.
+    factor contributes a full free coordinate).
     """
     if modulus < 2:
         raise ValueError(f"modulus must be at least 2, got {modulus}")
-    if _is_prime(modulus):
-        return _count_via_rank(a, modulus)
-    return _count_via_snf(a, modulus)
-
-
-def _count_via_snf(a: IntMatrix, modulus: int) -> int:
     count = modulus ** (a.cols - min(a.rows, a.cols))
     for d in smith_normal_form(a).diagonal:
         count *= gcd(modulus, d)
     return count
-
-
-def _count_via_rank(a: IntMatrix, modulus: int) -> int:
-    return modulus ** (a.cols - _rank_mod_prime(a, modulus))
-
-
-def _rank_mod_prime(a: IntMatrix, p: int) -> int:
-    m = np.zeros((a.rows, a.cols), dtype=np.int64)
-    for i, row in enumerate(a.entries):
-        m[i] = [v % p for v in row]
-    rank = 0
-    for c in range(a.cols):
-        hits = np.nonzero(m[rank:, c])[0]
-        if hits.size == 0:
-            continue
-        r = rank + int(hits[0])
-        if r != rank:
-            m[[rank, r]] = m[[r, rank]]
-        m[rank] = (m[rank] * pow(int(m[rank, c]), -1, p)) % p
-        others = np.nonzero(m[:, c])[0]
-        others = others[others != rank]
-        if others.size:
-            m[others] = (m[others] - np.outer(m[others, c], m[rank])) % p
-        rank += 1
-        if rank == a.rows:
-            break
-    return rank
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True

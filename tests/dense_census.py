@@ -1,0 +1,151 @@
+"""Dense Burnside route for both class counts, kept as a test oracle.
+
+Each fixed-point count is a solution count of a system on all C(n, 2)
+entry coordinates, built separately for switching classes and for
+Eulerian classes.  The library counts both on the much smaller σ-orbit
+system; these systems make no use of orbits or of the duality between the
+two counts, so they check it independently.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+from skewswitch import IntMatrix, Permutation, count_solutions_mod, cycle_types
+from skewswitch.census import _exact_div, _inverse0, _pair_action, _pairs
+
+
+@dataclass(frozen=True)
+class FixedPointSystem:
+    """Integer matrices describing one permutation's action on entry coordinates.
+
+    Entry coordinates are the upper-triangle positions (i, j), i < j, in lex
+    order.  `boundary` maps an entry coordinate to the difference of its two
+    endpoint coordinates (its kernel mod l is the Eulerian condition),
+    `switching` has as column v the entry change caused by switching at v
+    (its image mod l is the set of pure switching differences), and `action`
+    is the signed permutation matrix of the relabeling on entry coordinates.
+    """
+
+    size: int
+    sigma: Permutation
+    boundary: IntMatrix
+    switching: IntMatrix
+    action: IntMatrix
+
+
+def cycle_permutation(size: int, parts: Sequence[int]) -> Permutation:
+    """A permutation of 1..size with the given cycle lengths on consecutive blocks."""
+    image = list(range(1, size + 1))
+    start = 0
+    for p in parts:
+        for k in range(p):
+            image[start + k] = start + 1 + (k + 1) % p
+        start += p
+    return tuple(image)
+
+
+def _boundary_matrix(size: int) -> IntMatrix:
+    npairs = size * (size - 1) // 2
+    rows = [[0] * npairs for _ in range(size)]
+    for k, (i, j) in enumerate(_pairs(size)):
+        rows[i][k] = -1
+        rows[j][k] = 1
+    return IntMatrix.from_rows(rows, npairs)
+
+
+def _switching_matrix(size: int) -> IntMatrix:
+    npairs = size * (size - 1) // 2
+    rows = [[0] * size for _ in range(npairs)]
+    for k, (i, j) in enumerate(_pairs(size)):
+        rows[k][i] = -1
+        rows[k][j] = 1
+    return IntMatrix.from_rows(rows, size)
+
+
+def _action_matrix(size: int, sigma: Permutation) -> IntMatrix:
+    pos, flip = _pair_action(size, _inverse0([s - 1 for s in sigma]))
+    npairs = len(pos)
+    rows = [[0] * npairs for _ in range(npairs)]
+    for k in range(npairs):
+        rows[k][pos[k]] = -1 if flip[k] else 1
+    return IntMatrix.from_rows(rows, npairs)
+
+
+def fixed_point_system(size: int, sigma: Permutation) -> FixedPointSystem:
+    """The three integer matrices whose joint solution counts drive both censuses."""
+    if sorted(sigma) != list(range(1, size + 1)):
+        raise ValueError(f"not a permutation of 1..{size}: {sigma}")
+    return FixedPointSystem(
+        size,
+        tuple(sigma),
+        _boundary_matrix(size),
+        _switching_matrix(size),
+        _action_matrix(size, sigma),
+    )
+
+
+def _minus_identity(a: IntMatrix) -> IntMatrix:
+    rows = [list(row) for row in a.entries]
+    for k in range(a.rows):
+        rows[k][k] -= 1
+    return IntMatrix.from_rows(rows, a.cols)
+
+
+def _negated(a: IntMatrix) -> IntMatrix:
+    return IntMatrix.from_rows([[-v for v in row] for row in a.entries], a.cols)
+
+
+def _vstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if a.cols != b.cols:
+        raise ValueError(f"column mismatch: {a.cols} vs {b.cols}")
+    return IntMatrix.from_rows(list(a.entries) + list(b.entries), a.cols)
+
+
+def _hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if a.rows != b.rows:
+        raise ValueError(f"row mismatch: {a.rows} vs {b.rows}")
+    rows = [list(ra) + list(rb) for ra, rb in zip(a.entries, b.entries)]
+    return IntMatrix.from_rows(rows, a.cols + b.cols)
+
+
+def eulerian_fixed(modulus: int, size: int, sigma: Permutation) -> int:
+    """Eulerian matrices fixed by sigma: the stacked system (action - I; boundary)."""
+    system = fixed_point_system(size, sigma)
+    stacked = _vstack(_minus_identity(system.action), system.boundary)
+    return count_solutions_mod(stacked, modulus)
+
+
+def switching_fixed(modulus: int, size: int, sigma: Permutation) -> int:
+    """Cosets of the switching image fixed by sigma.
+
+    Solutions (x, a) of (action - identity) x = switching a are counted in
+    one block system; dividing by the switching kernel size gives the number
+    of x whose displacement is a switching difference, and dividing by the
+    image size gives the number of fixed cosets.  All divisions must be exact.
+    """
+    system = fixed_point_system(size, sigma)
+    kernel = count_solutions_mod(system.switching, modulus)
+    image = _exact_div(modulus**size, kernel, "switching image size")
+    block = _hstack(_minus_identity(system.action), _negated(system.switching))
+    pairs = count_solutions_mod(block, modulus)
+    lifted = _exact_div(pairs, kernel, "fixed-displacement count")
+    return _exact_div(lifted, image, "fixed-coset count")
+
+
+def _burnside(fixed, modulus: int, size: int) -> int:
+    total = sum(
+        ct.class_size * fixed(modulus, size, cycle_permutation(size, ct.parts))
+        for ct in cycle_types(size)
+    )
+    return _exact_div(total, math.factorial(size), "Burnside sum")
+
+
+def count_eulerian_classes(modulus: int, size: int) -> int:
+    return _burnside(eulerian_fixed, modulus, size)
+
+
+def count_switching_classes(modulus: int, size: int) -> int:
+    return _burnside(switching_fixed, modulus, size)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dense_census as D
 import helpers as H
 from skewswitch import (
     CensusResult,
@@ -17,16 +18,16 @@ from skewswitch import (
     brute_force_census,
     canonical_iso_form,
     count_eulerian_classes,
+    count_solutions_mod,
     count_switching_classes,
     cycle_types,
     enumerate_eulerian_representatives,
-    fixed_point_system,
     is_modular_eulerian,
     isomorphic,
     relabel,
     switch_many,
 )
-from skewswitch.census import REFERENCE_TABLES, _pairs
+from skewswitch.census import REFERENCE_TABLES, _orbit_system, _pairs
 
 S2_TABLE = (1, 1, 2, 3, 7, 16, 54, 243, 2038, 33120, 1182004)
 S3_TABLE = (1, 1, 2, 4, 14, 120, 3222, 271287, 64154817, 41653775052, 74220906305025)
@@ -75,9 +76,11 @@ class TestCycleTypes:
 
 
 class TestFixedPointSystem:
+    """The dense systems behind the test oracle in dense_census."""
+
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
-            fixed_point_system(3, (1, 1, 2))
+            D.fixed_point_system(3, (1, 1, 2))
 
     def test_action_encodes_relabeling(self):
         import random
@@ -86,13 +89,13 @@ class TestFixedPointSystem:
         for modulus, size in ((2, 4), (3, 5), (4, 5), (5, 6)):
             m = H.random_alt(rng, modulus, size)
             sigma = H.random_permutation(rng, size)
-            system = fixed_point_system(size, sigma)
+            system = D.fixed_point_system(size, sigma)
             act = np.array(system.action.entries)
             moved = act @ np.array(entry_vector(m)) % modulus
             assert moved.tolist() == entry_vector(relabel(m, sigma))
 
     def test_action_is_signed_permutation(self):
-        system = fixed_point_system(5, (2, 3, 4, 5, 1))
+        system = D.fixed_point_system(5, (2, 3, 4, 5, 1))
         rows = np.array(system.action.entries)
         assert (np.abs(rows).sum(axis=0) == 1).all()
         assert (np.abs(rows).sum(axis=1) == 1).all()
@@ -101,7 +104,7 @@ class TestFixedPointSystem:
         import random
 
         m = H.random_alt(random.Random(31), 4, 6)
-        system = fixed_point_system(6, tuple(range(1, 7)))
+        system = D.fixed_point_system(6, tuple(range(1, 7)))
         bound = np.array(system.boundary.entries)
         sums = bound @ np.array(entry_vector(m)) % 4
         # sign convention: vertex v picks up -entry on outgoing pair slots
@@ -110,7 +113,7 @@ class TestFixedPointSystem:
 
     def test_switching_columns_are_switch_differences(self):
         size, modulus = 5, 3
-        system = fixed_point_system(size, tuple(range(1, size + 1)))
+        system = D.fixed_point_system(size, tuple(range(1, size + 1)))
         sw = np.array(system.switching.entries)
         for v in range(size):
             a = tuple(1 if k == v else 0 for k in range(size))
@@ -159,12 +162,48 @@ class TestBurnsideCounts:
         with pytest.raises(ValueError):
             count_eulerian_classes(3, 0)
 
+    def test_large_prime_modulus(self):
+        # past 2**32, where fixed-width elimination would overflow
+        p = 4294967311
+        assert count_switching_classes(p, 3) == count_eulerian_classes(p, 3) == (p + 1) // 2
+        assert count_switching_classes(p, 4) == count_eulerian_classes(p, 4)
+        assert count_eulerian_classes(p, 4) == D.count_eulerian_classes(p, 4)
+        assert count_switching_classes(p, 4) == D.count_switching_classes(p, 4)
+
     def test_reference_tables_match_recomputation(self):
         for (modulus, kind), values in REFERENCE_TABLES.items():
             counter = (
                 count_switching_classes if kind == "classes" else count_eulerian_classes
             )
             assert tuple(counter(modulus, n) for n in range(1, len(values) + 1)) == values
+
+
+class TestOrbitSystemAgainstDenseOracle:
+    """The orbit system against the dense systems of dense_census."""
+
+    def test_fixed_counts_per_cycle_type(self):
+        # pins the duality relabeling by relabeling, not only in the sum
+        for size in range(1, 7):
+            for ct in cycle_types(size):
+                system = _orbit_system(ct.parts)
+                sigma = D.cycle_permutation(size, ct.parts)
+                for modulus in range(2, 9):
+                    fixed = count_solutions_mod(system, modulus)
+                    assert fixed == D.eulerian_fixed(modulus, size, sigma), (modulus, ct)
+                    assert fixed == D.switching_fixed(modulus, size, sigma), (modulus, ct)
+
+    def test_system_shape(self):
+        # parts (4, 2, 1): offsets 1, 2 and 1, the last two self-reversed; gcds 2, 1, 1
+        system = _orbit_system((4, 2, 1))
+        assert (system.rows, system.cols) == (2 + 3, 3 + 4)
+
+    def test_whole_counts(self):
+        for modulus in range(2, 13):
+            for size in range(1, 8):
+                s = count_switching_classes(modulus, size)
+                t = count_eulerian_classes(modulus, size)
+                assert s == t == D.count_switching_classes(modulus, size), (modulus, size)
+                assert t == D.count_eulerian_classes(modulus, size), (modulus, size)
 
 
 class TestBruteForceCensus:

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
+import dense_census as D
 import helpers as H
-from skewswitch import make, switch
+from skewswitch import REFERENCE_TABLES, make, switch
 from skewswitch.cli import EXIT_GUARD, EXIT_NO, EXIT_USAGE, EXIT_YES, run
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -68,6 +69,24 @@ class TestMatrixFiles:
             '{"modulus": 3, "size": 2, "entries": [[0, 1], [1, 0]]}', encoding="utf-8"
         )
         assert run(["switch", "-v", "1", str(p)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "doc, where",
+        [
+            ('{"modulus": 3, "size": 2, "entries": [[0, 1.7], [2, 0]]}', "entry (1, 2)"),
+            ('{"modulus": 3, "size": 2, "entries": [[0, true], [2, 0]]}', "entry (1, 2)"),
+            ('{"modulus": 3, "size": 2, "entries": [[0, 1], ["2", 0]]}', "entry (2, 1)"),
+            ('{"modulus": 3, "size": 2, "entries": 5}', "entries"),
+            ('{"modulus": 3, "size": 2, "entries": [[0, 1], 2]}', "row 2"),
+            ('{"modulus": 3.0, "size": 2, "entries": [[0, 1], [2, 0]]}', "modulus"),
+        ],
+        ids=["float", "bool", "string", "scalar-entries", "non-list-row", "float-modulus"],
+    )
+    def test_json_values_must_be_integers(self, tmp_path, capsys, doc, where):
+        p = tmp_path / "bad.json"
+        p.write_text(doc, encoding="utf-8")
+        assert run(["switch", "-v", "1", str(p)]) == EXIT_USAGE
+        assert f"{where} must be" in capsys.readouterr().err
 
     def test_usage_error(self, capsys):
         assert run(["switch"]) == EXIT_USAGE
@@ -231,6 +250,10 @@ class TestCountCensusTables:
         assert run(["count", "--modulus", "4", "--n", "5", "--what", "eulerian"]) == EXIT_YES
         assert capsys.readouterr().out.strip() == "62"
 
+    def test_count_large_prime_modulus(self, capsys):
+        assert run(["count", "--modulus", "4294967311", "--n", "4"]) == EXIT_YES
+        assert capsys.readouterr().out.strip() == str(D.count_switching_classes(4294967311, 4))
+
     def test_census_burnside(self, capsys):
         code, doc = run_json(capsys, ["census", "--modulus", "3", "--n", "4"])
         assert code == EXIT_YES
@@ -262,6 +285,15 @@ class TestCountCensusTables:
         out = capsys.readouterr().out
         assert out.count("ok") == 3
         assert "MISMATCH" not in out
+
+    def test_tables_check_mismatch_answers_no(self, capsys, monkeypatch):
+        tables = dict(REFERENCE_TABLES)
+        tables[(2, "classes")] = (1, 1, 2, 4)
+        monkeypatch.setattr("skewswitch.cli.REFERENCE_TABLES", tables)
+        assert run(["tables", "--check"]) == EXIT_NO
+        out = capsys.readouterr().out
+        assert "classes modulus=2 n=1..4: MISMATCH" in out
+        assert "computed [1, 1, 2, 3]" in out
 
     def test_tables_print(self, capsys):
         assert run(["tables"]) == EXIT_YES

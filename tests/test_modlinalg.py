@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewswitch import IntMatrix, count_solutions_mod, smith_normal_form
-from skewswitch.modlinalg import _count_via_rank, _count_via_snf
 
 
 @st.composite
@@ -121,11 +120,6 @@ class TestCountSolutionsMod:
     @given(small_matrices(), st.sampled_from([2, 3, 4, 5, 6]))
     def test_matches_exhaustive_enumeration(self, a, modulus):
         assert count_solutions_mod(a, modulus) == count_by_enumeration(a, modulus)
-
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(small_matrices(), st.sampled_from([2, 3, 5, 7]))
-    def test_prime_rank_path_agrees_with_snf_path(self, a, p):
-        assert _count_via_rank(a, p) == _count_via_snf(a, p)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(small_matrices(), st.sampled_from([2, 3, 4, 6]))
