@@ -57,7 +57,6 @@ from .skewmat import (
     isolate,
     isomorphic,
     make,
-    potential_witness,
     relabel,
     switch,
     switch_many,
@@ -112,7 +111,6 @@ __all__ = [
     "isolate",
     "isomorphic",
     "make",
-    "potential_witness",
     "relabel",
     "row_sum_profile",
     "smith_normal_form",

@@ -50,6 +50,13 @@ def _json_int(value: object, what: str) -> int:
     return value
 
 
+def _text_int(token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer, got {token!r}") from None
+
+
 def _load_matrix(path: str) -> AltMatrix:
     text = Path(path).read_text(encoding="utf-8")
     if text.lstrip().startswith("{"):
@@ -76,10 +83,20 @@ def _load_matrix(path: str) -> AltMatrix:
     head = lines[0].split()
     if len(head) != 2:
         raise ValueError(f"{path}: header must be 'modulus size', got {lines[0]!r}")
-    modulus, size = int(head[0]), int(head[1])
+    modulus = _text_int(head[0], f"{path}: header modulus")
+    size = _text_int(head[1], f"{path}: header size")
     if len(lines) != size + 1:
         raise ValueError(f"{path}: expected {size} rows, found {len(lines) - 1}")
-    return make(modulus, size, [[int(tok) for tok in ln.split()] for ln in lines[1:]])
+    grid = []
+    for i, ln in enumerate(lines[1:], start=1):
+        try:
+            grid.append([int(tok) for tok in ln.split()])
+        except ValueError:
+            # the per-token scan only finds the cell to name
+            for j, tok in enumerate(ln.split(), start=1):
+                _text_int(tok, f"{path}: entry ({i}, {j})")
+            raise
+    return make(modulus, size, grid)
 
 
 def _matrix_doc(m: AltMatrix) -> dict:
@@ -331,11 +348,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: parsing leaves the parser unchanged, and a parser per call is
+# cyclic garbage that lingers until a full collection
+_PARSER = _build_parser()
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse arguments, dispatch, and map errors to the exit-code contract."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_YES if exc.code == 0 else EXIT_USAGE
     try:

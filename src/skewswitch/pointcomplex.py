@@ -92,19 +92,24 @@ def _maximal_admissible_sets(n: int, can_extend: Callable[[tuple[int, ...], int]
     vertex at all, earlier or later, extends them.
     """
     out: list[tuple[int, ...]] = []
-
-    def grow(s: tuple[int, ...], start: int) -> None:
-        extendable = [w for w in range(n) if w not in s and can_extend(s, w)]
-        if not any(w >= start for w in extendable):
-            if not extendable:
-                out.append(s)
-            return
-        for w in extendable:
-            if w >= start:
-                grow(s + (w,), w + 1)
-
-    grow((), 0)
+    _grow(n, can_extend, out, (), 0)
     return out
+
+
+# The searches recurse through module-level functions rather than nested
+# ones: a nested function that calls itself is a reference cycle, which
+# keeps its data alive until the next full garbage collection.
+
+
+def _grow(n: int, can_extend, out: list[tuple[int, ...]], s: tuple[int, ...], start: int) -> None:
+    extendable = [w for w in range(n) if w not in s and can_extend(s, w)]
+    if not any(w >= start for w in extendable):
+        if not extendable:
+            out.append(s)
+        return
+    for w in extendable:
+        if w >= start:
+            _grow(n, can_extend, out, s + (w,), w + 1)
 
 
 def facets(m: AltMatrix) -> SimplicialComplex:
@@ -115,7 +120,7 @@ def facets(m: AltMatrix) -> SimplicialComplex:
         return all(_triple_zero(e, l, s[x], s[y], w) for x in range(len(s)) for y in range(x + 1, len(s)))
 
     found = _maximal_admissible_sets(m.size, can_extend)
-    return SimplicialComplex(m.size, tuple(sorted(tuple(v + 1 for v in f) for f in found)))
+    return SimplicialComplex(m.size, tuple(sorted([tuple([v + 1 for v in f]) for f in found])))
 
 
 def dimension(c: SimplicialComplex) -> int:
@@ -143,31 +148,30 @@ def complexes_isomorphic(c: SimplicialComplex, cp: SimplicialComplex) -> Permuta
     if sorted(prof) != sorted(prof_p):
         return None
 
-    def codeg(cx: SimplicialComplex, u: int, v: int) -> int:
-        return sum(1 for f in cx.facets if u in f and v in f)
+    candidates = [[cand for cand in range(1, n + 1) if prof_p[cand - 1] == pk] for pk in prof]
+    return _extend_bijection(c, cp, candidates, set(cp.facets), [])
 
-    target = set(cp.facets)
-    image = [0] * n
-    used = [False] * n
 
-    def extend(k: int) -> Permutation | None:
-        if k == n:
-            mapped = {tuple(sorted(image[v - 1] for v in f)) for f in c.facets}
-            return tuple(image) if mapped == target else None
-        for cand in range(1, n + 1):
-            if used[cand - 1] or prof[k] != prof_p[cand - 1]:
-                continue
-            if any(codeg(c, i + 1, k + 1) != codeg(cp, image[i], cand) for i in range(k)):
-                continue
-            image[k] = cand
-            used[cand - 1] = True
-            sigma = extend(k + 1)
-            if sigma is not None:
-                return sigma
-            used[cand - 1] = False
-        return None
+def _codegree(cx: SimplicialComplex, u: int, v: int) -> int:
+    return sum(1 for f in cx.facets if u in f and v in f)
 
-    return extend(0)
+
+def _extend_bijection(c, cp, candidates, target, image: list[int]) -> Permutation | None:
+    k = len(image)
+    if k == c.n:
+        mapped = {tuple(sorted(image[v - 1] for v in f)) for f in c.facets}
+        return tuple(image) if mapped == target else None
+    for cand in candidates[k]:
+        if cand in image:
+            continue
+        if any(_codegree(c, i + 1, k + 1) != _codegree(cp, image[i], cand) for i in range(k)):
+            continue
+        image.append(cand)
+        sigma = _extend_bijection(c, cp, candidates, target, image)
+        if sigma is not None:
+            return sigma
+        image.pop()
+    return None
 
 
 def _zero_pair(e, l: int, i: int, j: int) -> bool:
@@ -196,7 +200,7 @@ def facets_via_isolations(m: AltMatrix) -> SimplicialComplex:
         s for s in collected
         if not any(s != t and set(s) <= set(t) for t in collected)
     ]
-    return SimplicialComplex(m.size, tuple(sorted(tuple(v + 1 for v in f) for f in maximal)))
+    return SimplicialComplex(m.size, tuple(sorted([tuple([v + 1 for v in f]) for f in maximal])))
 
 
 def independence_number(m: AltMatrix) -> int:

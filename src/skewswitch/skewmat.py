@@ -4,8 +4,14 @@ A matrix M determines a quadratic exponent pattern; switching at a vertex v
 subtracts 1 across row v and adds 1 down column v (mod l).  Two matrices
 are called switching equivalent when one is reachable from the other by
 switchings followed by a relabeling of the vertices.  The triple sums
-m_ij + m_jh + m_hi are a complete invariant for pure switching, which is
-what both the equivalence decision and the canonical forms below exploit.
+m_ij + m_jh + m_hi are a complete invariant for pure switching; the
+equivalence decision uses them only as a quick necessary check.
+
+Isolating a vertex (the unique pure switching that clears its row and
+column) reduces switching to relabeling: M and M' are equivalent exactly
+when isolate(M, 1) is isomorphic to isolate(M', v) for some v.  So
+`isomorphic` is the one search here, and both canonical forms come from
+one least-relabeling search.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ __all__ = [
     "switch_many",
     "relabel",
     "triple_tensor",
-    "potential_witness",
     "switching_equivalent",
     "isomorphic",
     "canonical_class_form",
@@ -35,6 +40,11 @@ __all__ = [
 # permutations are tuples of 1-indexed images: sigma[i-1] is the image of i
 Permutation = tuple[int, ...]
 SwitchExponents = tuple[int, ...]
+
+# Hot tuples are built from lists, tuple([...]), not from generators: tuple()
+# of a generator starts from a guessed size, so each freed result lands on
+# another of CPython's per-size tuple free lists, which keep that memory
+# until a full garbage collection.
 
 
 @dataclass(frozen=True)
@@ -63,7 +73,9 @@ class EquivWitness:
     """Certificate for switching equivalence.
 
     relabel(switch_many(M, exponents), sigma) reproduces the target matrix.
-    Exponents are normalized so the first vertex gets 0.
+    Exponents are normalized so the first vertex gets 0.  The decision
+    returns the first witness its search finds, not the lex-first one, and
+    checks it with verify_witness before returning it.
     """
 
     sigma: Permutation
@@ -94,7 +106,7 @@ def make(modulus: int, size: int, raw_entries: Iterable[Iterable[int]]) -> AltMa
     """Reduce a raw integer grid mod l and validate skew-symmetry."""
     if modulus < 2:
         raise ValueError(f"modulus must be at least 2, got {modulus}")
-    grid = tuple(tuple(int(v) % modulus for v in row) for row in raw_entries)
+    grid = tuple([tuple([int(v) % modulus for v in row]) for row in raw_entries])
     return AltMatrix(modulus, size, grid)
 
 
@@ -133,8 +145,7 @@ def switch_many(m: AltMatrix, a: Sequence[int]) -> AltMatrix:
     l, n = m.modulus, m.size
     e = m.entries
     grid = tuple(
-        tuple((e[i][j] - a[i] + a[j]) % l if i != j else 0 for j in range(n))
-        for i in range(n)
+        [tuple([(e[i][j] - a[i] + a[j]) % l if i != j else 0 for j in range(n)]) for i in range(n)]
     )
     return AltMatrix(l, n, grid)
 
@@ -142,13 +153,6 @@ def switch_many(m: AltMatrix, a: Sequence[int]) -> AltMatrix:
 def _check_permutation(sigma: Sequence[int], n: int) -> None:
     if sorted(sigma) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {tuple(sigma)}")
-
-
-def _inverse(sigma: Sequence[int]) -> Permutation:
-    inv = [0] * len(sigma)
-    for i, s in enumerate(sigma):
-        inv[s - 1] = i + 1
-    return tuple(inv)
 
 
 def relabel(m: AltMatrix, sigma: Sequence[int]) -> AltMatrix:
@@ -172,36 +176,6 @@ def triple_tensor(m: AltMatrix) -> TripleTensor:
     return TripleTensor(l, m.size, values)
 
 
-def _difference(a: AltMatrix, b: AltMatrix) -> AltMatrix:
-    l, n = a.modulus, a.size
-    grid = tuple(
-        tuple((a.entries[i][j] - b.entries[i][j]) % l for j in range(n))
-        for i in range(n)
-    )
-    return AltMatrix(l, n, grid)
-
-
-def potential_witness(d: AltMatrix) -> SwitchExponents | None:
-    """Exponents a with d_ij = a_j - a_i and a_1 = 0, if d is such a difference.
-
-    Matrices of this shape are exactly those reachable from 0 by pure
-    switching, so a present result turns any matching difference M' - M
-    into a switching certificate.   The normalization a_1 = 0 makes the
-    result unique because only constant vectors act trivially.
-    """
-    l, n, e = d.modulus, d.size, d.entries
-    a = tuple(e[0][j] for j in range(n))
-    for i in range(n):
-        for j in range(n):
-            if e[i][j] != (a[j] - a[i]) % l:
-                return None
-    return a
-
-
-def _triple_value(e: tuple[tuple[int, ...], ...], l: int, i: int, j: int, h: int) -> int:
-    return (e[i][j] + e[j][h] + e[h][i]) % l
-
-
 def _folded_triple_multiset(m: AltMatrix) -> tuple[int, ...]:
     # min(t, l - t) is unchanged by relabeling (which can only negate t)
     l = m.modulus
@@ -209,63 +183,32 @@ def _folded_triple_multiset(m: AltMatrix) -> tuple[int, ...]:
 
 
 def switching_equivalent(m: AltMatrix, mp: AltMatrix) -> EquivWitness | None:
-    """Decide switching equivalence; return the lex-first witness or None.
+    """Decide switching equivalence; return the first witness found, or None.
 
-    Searches permutations sigma in lex order, pruning on the fly: a partial
-    assignment survives only while every already-determined triple sum of
-    the relabeled source agrees with the target.  A full match guarantees
-    the difference is a switching difference, which potential_witness then
-    converts into exponents.
+    Every matrix differs from its isolation at vertex 1 by a pure switching,
+    and isolating commutes with relabeling, so m and mp are equivalent
+    exactly when isolate(m, 1) is isomorphic to isolate(mp, v) for some v.
+    If a and b are the two isolations' exponents and sigma the isomorphism,
+    the witness exponents are c_i = a_i - b_sigma(i), shifted so c_1 = 0.
+    The witness is verified before it is returned.
     """
     _check_compatible(m, mp)
-    l, n = m.modulus, m.size
     if _folded_triple_multiset(m) != _folded_triple_multiset(mp):
         return None
-    me, pe = m.entries, mp.entries
-    image = [0] * n
-    used = [False] * n
-
-    def extend(k: int) -> Permutation | None:
-        if k == n:
-            return tuple(image)
-        for c in range(1, n + 1):
-            if used[c - 1]:
-                continue
-            ok = True
-            for i in range(k - 1):
-                for j in range(i + 1, k):
-                    want = _triple_value(me, l, i, j, k)
-                    got = (
-                        pe[image[i] - 1][image[j] - 1]
-                        + pe[image[j] - 1][c - 1]
-                        + pe[c - 1][image[i] - 1]
-                    ) % l
-                    if want != got:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            image[k] = c
-            used[c - 1] = True
-            sigma = extend(k + 1)
-            if sigma is not None:
-                return sigma
-            used[c - 1] = False
-        return None
-
-    sigma = extend(0)
-    if sigma is None:
-        return None
-    a = potential_witness(_difference(relabel(mp, _inverse(sigma)), m))
-    if a is None:  # cannot happen when all triple sums agree
-        return None
-    return EquivWitness(sigma, a)
-
-
-def _row_multiset(e: tuple[tuple[int, ...], ...], i: int) -> tuple[int, ...]:
-    return tuple(sorted(e[i]))
+    l, n = m.modulus, m.size
+    a = _isolating_exponents(m, 1)
+    base = switch_many(m, a)
+    for v in range(1, n + 1):
+        b = _isolating_exponents(mp, v)
+        sigma = isomorphic(base, switch_many(mp, b))
+        if sigma is None:
+            continue
+        c = [a[i] - b[sigma[i] - 1] for i in range(n)]
+        witness = EquivWitness(sigma, tuple([(x - c[0]) % l for x in c]))
+        if not verify_witness(m, mp, witness):
+            raise RuntimeError(f"switching witness {witness} failed verification")
+        return witness
+    return None
 
 
 def isomorphic(m: AltMatrix, mp: AltMatrix) -> Permutation | None:
@@ -275,94 +218,106 @@ def isomorphic(m: AltMatrix, mp: AltMatrix) -> Permutation | None:
     and by pairwise entry agreement with all previously placed vertices.
     """
     _check_compatible(m, mp)
-    n = m.size
-    me, pe = m.entries, mp.entries
-    if sorted(sorted(row) for row in me) != sorted(sorted(row) for row in pe):
+    rows_m = [tuple(sorted(row)) for row in m.entries]
+    rows_p = [tuple(sorted(row)) for row in mp.entries]
+    if sorted(rows_m) != sorted(rows_p):
         return None
-    rows_m = [_row_multiset(me, i) for i in range(n)]
-    rows_p = [_row_multiset(pe, i) for i in range(n)]
-    image = [0] * n
-    used = [False] * n
-
-    def extend(k: int) -> Permutation | None:
-        if k == n:
-            return tuple(image)
-        for c in range(1, n + 1):
-            if used[c - 1] or rows_m[k] != rows_p[c - 1]:
-                continue
-            if any(pe[image[i] - 1][c - 1] != me[i][k] for i in range(k)):
-                continue
-            image[k] = c
-            used[c - 1] = True
-            sigma = extend(k + 1)
-            if sigma is not None:
-                return sigma
-            used[c - 1] = False
-        return None
-
-    return extend(0)
+    by_row: dict[tuple[int, ...], list[int]] = {}
+    for c, row in enumerate(rows_p):
+        by_row.setdefault(row, []).append(c)
+    candidates = [by_row[row] for row in rows_m]
+    return _extend_isomorphism(m.entries, mp.entries, candidates, [], set())
 
 
-def canonical_class_form(m: AltMatrix) -> TripleTensor:
-    """Lexicographically smallest triple tensor over all relabelings.
+# The searches recurse through module-level functions rather than nested
+# ones: a nested function that calls itself is a reference cycle, which
+# keeps its matrices alive until the next full garbage collection.
 
-    Two matrices are switching equivalent exactly when these forms agree,
-    so the result is a complete invariant of the switching class.
+
+def _extend_isomorphism(me, pe, candidates, image: list[int], used: set[int]) -> Permutation | None:
+    k = len(image)
+    if k == len(me):
+        return tuple([c + 1 for c in image])
+    for c in candidates[k]:
+        if c in used or any(pe[image[i]][c] != me[i][k] for i in range(k)):
+            continue
+        image.append(c)
+        used.add(c)
+        sigma = _extend_isomorphism(me, pe, candidates, image, used)
+        if sigma is not None:
+            return sigma
+        image.pop()
+        used.discard(c)
+    return None
+
+
+def _least_relabeling(m: AltMatrix, first: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of the row-major least relabeling of m that puts `first` at position 1.
+
+    Rows are fixed one at a time.  The unplaced vertices sit in an ordered
+    partition, sorted by their entries in the rows placed so far; a least
+    relabeling keeps that order, so choosing the vertex for position k
+    among the first cell fixes row k.  Branches whose row exceeds the
+    incumbent's are cut; ties are explored.
     """
-    l, n, e = m.modulus, m.size, m.entries
-    triples = list(itertools.combinations(range(n), 3))
-    best: tuple[int, ...] | None = None
-    for sigma in itertools.permutations(range(n)):
-        inv = [0] * n
-        for i, s in enumerate(sigma):
-            inv[s] = i
-        cand = _gathered_values(e, l, inv, triples, _triple_value, best)
-        if cand is not None:
-            best = cand
-    assert best is not None
-    return TripleTensor(l, n, best)
+    best: list[list[int]] = []
+    _place(m.entries, best, [], first - 1, [[u for u in range(m.size) if u != first - 1]])
+    return tuple([tuple(row) for row in best])
+
+
+def _place(e, best: list[list[int]], placed: list[int], v: int, cells: list[list[int]]) -> None:
+    # v takes position k; best holds the incumbent's rows (lists, for the
+    # free-list reason above), and its first k rows equal the branch's
+    k = len(placed)
+    refined: list[list[int]] = []
+    for cell in cells:
+        by_value: dict[int, list[int]] = {}
+        for u in cell:
+            by_value.setdefault(e[v][u], []).append(u)
+        refined += (by_value[x] for x in sorted(by_value))
+    row = [e[v][u] for u in placed] + [0] + [e[v][u] for cell in refined for u in cell]
+    if k < len(best):
+        if row > best[k]:
+            return
+        if row < best[k]:
+            del best[k:]
+    if k == len(best):
+        best.append(row)
+    if refined:
+        head, rest = refined[0], refined[1:]
+        for u in head:
+            others = [w for w in head if w != u]
+            _place(e, best, placed + [v], u, [others] + rest if others else rest)
 
 
 def canonical_iso_form(m: AltMatrix) -> AltMatrix:
     """Lexicographically smallest relabeling (row-major order); complete for isomorphism."""
-    l, n, e = m.modulus, m.size, m.entries
-    cells = [(i, j) for i in range(n) for j in range(n)]
-    best: tuple[int, ...] | None = None
-    for sigma in itertools.permutations(range(n)):
-        inv = [0] * n
-        for i, s in enumerate(sigma):
-            inv[s] = i
-        cand = _gathered_values(e, l, inv, cells, lambda ee, ll, i, j: ee[i][j], best)
-        if cand is not None:
-            best = cand
-    assert best is not None
-    grid = tuple(tuple(best[i * n : (i + 1) * n]) for i in range(n))
-    return AltMatrix(l, n, grid)
+    rows = min(_least_relabeling(m, v) for v in range(1, m.size + 1))
+    return AltMatrix(m.modulus, m.size, rows)
 
 
-def _gathered_values(e, l, inv, index_tuples, value_fn, bound):
-    """Values of the relabeled matrix at index_tuples, or None once > bound."""
-    out: list[int] = []
-    bounded = bound is not None
-    for k, idx in enumerate(index_tuples):
-        v = value_fn(e, l, *(inv[x] for x in idx))
-        if bounded:
-            if v > bound[k]:
-                return None
-            if v < bound[k]:
-                bounded = False
-        out.append(v)
-    if bounded:
-        return None  # equal to the bound; keep the incumbent
-    return tuple(out)
+def canonical_class_form(m: AltMatrix) -> AltMatrix:
+    """Least relabeling of an isolation, over all isolations; complete for switching.
+
+    isolate(relabel(switch_many(m, a), tau), tau(v)) equals
+    relabel(isolate(m, v), tau), so equivalent matrices have the same
+    isolations up to relabeling, and conversely equal forms give a
+    switching and a relabeling between m and m'.  Vertex 1 of the result
+    is isolated.
+    """
+    rows = min(_least_relabeling(isolate(m, v), v) for v in range(1, m.size + 1))
+    return AltMatrix(m.modulus, m.size, rows)
+
+
+def _isolating_exponents(m: AltMatrix, v: int) -> SwitchExponents:
+    k = v - 1
+    return tuple([0 if i == k else (-m.entries[k][i]) % m.modulus for i in range(m.size)])
 
 
 def isolate(m: AltMatrix, v: int) -> AltMatrix:
     """The unique pure switching of m whose row and column v are zero."""
     _check_vertex(m, v)
-    l, n, k = m.modulus, m.size, v - 1
-    a = tuple(0 if i == k else (-m.entries[k][i]) % l for i in range(n))
-    return switch_many(m, a)
+    return switch_many(m, _isolating_exponents(m, v))
 
 
 def verify_witness(m: AltMatrix, mp: AltMatrix, w: EquivWitness) -> bool:

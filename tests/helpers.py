@@ -39,6 +39,28 @@ def random_alt(rng, modulus, size):
     )
 
 
+def difference(a, b):
+    """Entrywise a - b (mod l)."""
+    l, n = a.modulus, a.size
+    return make(l, n, [[a.entries[i][j] - b.entries[i][j] for j in range(n)] for i in range(n)])
+
+
+def potential_witness(d):
+    """Exponents a with d_ij = a_j - a_i and a_1 = 0, if d is such a difference.
+
+    Matrices of this shape are exactly those reachable from 0 by pure
+    switching; the normalization a_1 = 0 makes the result unique because
+    only constant vectors act trivially.
+    """
+    l, n, e = d.modulus, d.size, d.entries
+    a = tuple(e[0][j] for j in range(n))
+    for i in range(n):
+        for j in range(n):
+            if e[i][j] != (a[j] - a[i]) % l:
+                return None
+    return a
+
+
 def random_permutation(rng, size):
     image = list(range(1, size + 1))
     rng.shuffle(image)

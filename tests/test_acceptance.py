@@ -286,3 +286,16 @@ def test_criterion_09_switch_and_isolation_displays():
     assert isolate(fan, 2) == isolate(fan, 4)
     assert H.arcs_of(isolate(fan, 2)) == set(H.FAN_4_ISOLATION_2)
     assert H.arcs_of(isolate(fan, 3)) == set(H.FAN_4_ISOLATION_3)
+
+
+def test_criterion_10_switching_witnesses_at_forty_vertices():
+    rng = random.Random(1001)
+    start = time.perf_counter()
+    for modulus in (2, 3):
+        m = H.random_alt(rng, modulus, 40)
+        a = tuple(rng.randrange(modulus) for _ in range(40))
+        target = relabel(switch_many(m, a), H.random_permutation(rng, 40))
+        w = switching_equivalent(m, target)
+        assert w is not None and verify_witness(m, target, w)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"forty-vertex equivalence took {elapsed:.1f}s"

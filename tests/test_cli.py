@@ -79,14 +79,30 @@ class TestMatrixFiles:
             ('{"modulus": 3, "size": 2, "entries": 5}', "entries"),
             ('{"modulus": 3, "size": 2, "entries": [[0, 1], 2]}', "row 2"),
             ('{"modulus": 3.0, "size": 2, "entries": [[0, 1], [2, 0]]}', "modulus"),
+            ("3 2\n0 1.7\n2 0\n", "entry (1, 2)"),
+            ("3 2\n0 1\nx 0\n", "entry (2, 1)"),
+            ("3 x\n0 1\n2 0\n", "header size"),
+            ("3.0 2\n0 1\n2 0\n", "header modulus"),
         ],
-        ids=["float", "bool", "string", "scalar-entries", "non-list-row", "float-modulus"],
+        ids=[
+            "float",
+            "bool",
+            "string",
+            "scalar-entries",
+            "non-list-row",
+            "float-modulus",
+            "text-float",
+            "text-word",
+            "text-header-size",
+            "text-header-modulus",
+        ],
     )
     def test_json_values_must_be_integers(self, tmp_path, capsys, doc, where):
-        p = tmp_path / "bad.json"
+        p = tmp_path / ("bad.json" if doc.startswith("{") else "bad.txt")
         p.write_text(doc, encoding="utf-8")
         assert run(["switch", "-v", "1", str(p)]) == EXIT_USAGE
-        assert f"{where} must be" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{p}: {where} must be" in err
 
     def test_usage_error(self, capsys):
         assert run(["switch"]) == EXIT_USAGE
@@ -198,6 +214,16 @@ class TestComplex:
             {"support": [1, 3], "projective_dimension": 1},
             {"support": [2, 3], "projective_dimension": 1},
         ]
+
+    def test_no_option_state_carries_over_between_calls(self, tmp_path, capsys):
+        p = write_json(tmp_path / "m.json", H.from_upper(3, 3, [1, 1, 1]))
+        _, plain = run_json(capsys, ["complex", p])
+        _, doc = run_json(capsys, ["complex", "--components", p])
+        assert "components" in doc
+        code, again = run_json(capsys, ["complex", p])
+        assert code == EXIT_YES
+        assert again == plain
+        assert "components" not in again
 
     def test_emit_dot(self, tmp_path, capsys):
         p = write_json(tmp_path / "m.json", H.from_edges(3, 3, ((1, 2),)))

@@ -9,15 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers as H
+import triple_route as T
 from skewswitch import (
     AltMatrix,
     EquivWitness,
     canonical_class_form,
     canonical_iso_form,
+    count_switching_classes,
     isolate,
     isomorphic,
     make,
-    potential_witness,
     relabel,
     switch,
     switch_many,
@@ -25,6 +26,7 @@ from skewswitch import (
     triple_tensor,
     verify_witness,
 )
+from skewswitch import skewmat
 
 
 @st.composite
@@ -229,16 +231,16 @@ class TestTripleTensor:
 
 class TestPotentialWitness:
     def test_zero_difference(self):
-        assert potential_witness(H.zero(3, 4)) == (0, 0, 0, 0)
+        assert H.potential_witness(H.zero(3, 4)) == (0, 0, 0, 0)
 
     def test_row_decrement_column_increment_difference(self):
         # the difference produced by one switch at vertex 1
         d = switch(H.zero(3, 4), 1)
-        assert potential_witness(d) == (0, 2, 2, 2)
+        assert H.potential_witness(d) == (0, 2, 2, 2)
 
     def test_non_potential_difference(self):
         d = H.from_upper(3, 3, [1, 1, 1])
-        assert potential_witness(d) is None
+        assert H.potential_witness(d) is None
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(matrices(), st.data())
@@ -257,7 +259,7 @@ class TestPotentialWitness:
                 for j in range(i + 1, m.size)
             ],
         )
-        got = potential_witness(d)
+        got = H.potential_witness(d)
         assert got is not None
         assert got[0] == 0
         assert tuple((v - a[i] + a[0]) % m.modulus for i, v in enumerate(got)) == (
@@ -274,7 +276,7 @@ class TestPotentialWitness:
             k = size * (size - 1) // 2
             for upper in product(range(modulus), repeat=k):
                 d = H.from_upper(modulus, size, upper)
-                w = potential_witness(d)
+                w = H.potential_witness(d)
                 if d in lattice:
                     assert w is not None
                     assert switch_many(H.zero(modulus, size), w) == d
@@ -340,6 +342,44 @@ class TestSwitchingEquivalent:
         assert switching_equivalent(m, target) == switching_equivalent(m, target)
 
 
+class TestTripleRouteOracle:
+    """The isolation route against the triple-sum route kept in tests/triple_route.py."""
+
+    @pytest.mark.parametrize("modulus", range(2, 8))
+    def test_routes_agree_on_yes_converse_and_perturbed_pairs(self, modulus):
+        rng = random.Random(900 + modulus)
+        for size in range(1, 7):
+            for _ in range(4):
+                m = H.random_alt(rng, modulus, size)
+                a = tuple(rng.randrange(modulus) for _ in range(size))
+                yes = relabel(switch_many(m, a), H.random_permutation(rng, size))
+                # the converse -M always passes the folded triple-sum pre-check
+                converse = make(modulus, size, [[-x for x in row] for row in yes.entries])
+                pairs = [yes, converse]
+                if size >= 2:
+                    i, j = rng.sample(range(size), 2)
+                    grid = [list(row) for row in yes.entries]
+                    grid[i][j] += rng.randrange(1, modulus)
+                    grid[j][i] = -grid[i][j]
+                    pairs.append(make(modulus, size, grid))
+                for target in pairs:
+                    new = switching_equivalent(m, target)
+                    old = T.switching_equivalent(m, target)
+                    assert (new is None) == (old is None)
+                    for w in (new, old):
+                        assert w is None or verify_witness(m, target, w)
+                    same_new = canonical_class_form(m) == canonical_class_form(target)
+                    same_old = T.canonical_class_form(m) == T.canonical_class_form(target)
+                    assert same_new == same_old == (new is not None)
+                assert switching_equivalent(m, yes) is not None
+
+    def test_unverified_witness_is_never_returned(self, monkeypatch):
+        m = H.random_alt(random.Random(14), 3, 5)
+        monkeypatch.setattr(skewmat, "verify_witness", lambda *args: False)
+        with pytest.raises(RuntimeError):
+            switching_equivalent(m, switch(m, 2))
+
+
 class TestIsomorphic:
     def test_identity(self):
         m = H.random_alt(random.Random(9), 4, 5)
@@ -367,8 +407,9 @@ class TestIsomorphic:
 
 class TestCanonicalForms:
     def test_class_form_of_zero(self):
-        t = canonical_class_form(H.zero(3, 4))
-        assert t.values == (0, 0, 0, 0)
+        # every isolation of a matrix in the zero class is the zero matrix
+        assert canonical_class_form(H.zero(3, 4)) == H.zero(3, 4)
+        assert canonical_class_form(switch(H.zero(3, 4), 2)) == H.zero(3, 4)
 
     def test_class_form_constant_on_display_pair(self):
         before = make(3, 4, H.SWITCH_DIGRAPH_IN)
@@ -393,7 +434,19 @@ class TestCanonicalForms:
         a = tuple(rng.randrange(m.modulus) for _ in range(m.size))
         sigma = H.random_permutation(rng, m.size)
         moved = relabel(switch_many(m, a), sigma)
-        assert canonical_class_form(moved) == canonical_class_form(m)
+        form = canonical_class_form(m)
+        assert canonical_class_form(moved) == form
+        assert form.entries[0] == (0,) * m.size
+        assert switching_equivalent(m, form) is not None
+
+    @pytest.mark.parametrize("modulus, size", [(2, 5), (3, 4), (4, 4), (5, 4)])
+    def test_class_form_count_matches_burnside(self, modulus, size):
+        k = size * (size - 1) // 2
+        forms = {
+            canonical_class_form(H.from_upper(modulus, size, upper))
+            for upper in product(range(modulus), repeat=k)
+        }
+        assert len(forms) == count_switching_classes(modulus, size)
 
     def test_iso_form_picks_lex_least_labeling(self):
         assert canonical_iso_form(make(3, 2, [[0, 2], [1, 0]])) == make(
@@ -429,16 +482,7 @@ class TestIsolate:
     def test_is_a_pure_switching(self):
         m = H.random_alt(random.Random(11), 3, 5)
         out = isolate(m, 3)
-        diff = H.from_upper(
-            3,
-            5,
-            [
-                (out.entries[i][j] - m.entries[i][j]) % 3
-                for i in range(5)
-                for j in range(i + 1, 5)
-            ],
-        )
-        assert potential_witness(diff) is not None
+        assert H.potential_witness(H.difference(out, m)) is not None
 
     def test_idempotent(self):
         m = H.random_alt(random.Random(12), 4, 5)
