@@ -2,14 +2,17 @@
 
 The two counts are equal for every modulus and size (the duality argument
 is in count_switching_classes), so one Burnside sum serves both.  It is
-grouped by cycle type, so size n costs one solve per partition of n, and
-each solve is small: one variable per pair of mutually reversed orbits of
-vertex pairs, one row per self-reversed orbit and one per vertex cycle.
-Solutions are counted mod l through the Smith normal form
-(count_solutions_mod), so prime and composite moduli of any size take the
-same exact route.  A brute-force census over all matrices doubles as an
-independent oracle at small sizes and produces canonical class
-representatives.
+grouped by cycle type, so size n costs one solve per partition of n.  A
+relabeling's fixed Eulerian matrices are the solutions of its orbit system
+(one variable per pair of mutually reversed orbits of vertex pairs, one row
+per self-reversed orbit and one per vertex cycle), and that count depends
+only on the lattice spanned by the system's columns.  So each solve runs
+on a small generating set of that lattice, with one row per distinct cycle
+length and one per even cycle (see _orbit_system).  Solutions are counted
+mod l through the Smith normal form (count_solutions_mod), so prime and
+composite moduli of any size take the same exact route.  A brute-force
+census over all matrices doubles as an independent oracle at small sizes
+and produces canonical class representatives.
 """
 
 from __future__ import annotations
@@ -39,10 +42,11 @@ __all__ = [
     "enumerate_eulerian_representatives",
 ]
 
-# largest number of matrices the full brute-force census will enumerate
+# Both enumerations compare every candidate under all n! relabelings, so their
+# guards bound candidates times n!.  The brute-force census takes every matrix,
+# l^C(n,2) of them; the representative listing every Eulerian one, l^C(n-1,2).
 BRUTE_GUARD = 10**8
-# largest number of Eulerian matrices the representative listing will enumerate
-EULERIAN_ENUM_GUARD = 10**7
+EULERIAN_ENUM_GUARD = 10**8
 # entry tuples are deduplicated through base-l integer encodings; they must fit in int64
 _ENCODE_LIMIT = 1 << 62
 _CHUNK = 1 << 18
@@ -86,6 +90,23 @@ def _check_args(modulus: int, size: int) -> None:
         raise ValueError(f"modulus must be at least 2, got {modulus}")
     if size < 1:
         raise ValueError(f"size must be at least 1, got {size}")
+
+
+def _check_work(what: str, modulus: int, exponent: int, size: int, bound: int) -> None:
+    """Refuse when modulus^exponent candidates times size! relabelings exceed bound.
+
+    The product is built one factor at a time and every factor is at least
+    2, so a refusal takes at most about log2(bound) steps however large the
+    request.
+    """
+    work = 1
+    for factor in itertools.chain(itertools.repeat(modulus, exponent), range(2, size + 1)):
+        work *= factor
+        if work > bound:
+            raise ResourceGuardError(
+                f"{what} needs {modulus}^{exponent} matrices times {size}! relabelings, "
+                f"over the bound {bound}"
+            )
 
 
 def _partitions(n: int, cap: int) -> Iterator[tuple[int, ...]]:
@@ -156,8 +177,8 @@ def _exact_div(value: int, divisor: int, what: str) -> int:
     return value // divisor
 
 
-def _orbit_system(parts: Sequence[int]) -> IntMatrix:
-    """System whose solutions mod l are the Eulerian matrices fixed by cycle type `parts`.
+def _orbit_system(parts: Sequence[int]) -> tuple[IntMatrix, int]:
+    """Lattice generators and a free exponent for the Eulerian matrices fixed by cycle type `parts`.
 
     A fixed matrix is constant on each orbit of ordered vertex pairs and
     negated on the reversed orbit, so it has one variable per {orbit,
@@ -168,38 +189,58 @@ def _orbit_system(parts: Sequence[int]) -> IntMatrix:
     Row sums are constant on each cycle, so the Eulerian condition is one
     row per cycle: offsets d and p - d cancel in it, and each orbit between
     two cycles is met q/g times from the first and -p/g times from the
-    second.
+    second.  That system A has V variables and R rows, one per cycle and
+    one per even cycle's half orbit.
+
+    Its solution count mod l depends only on the Z-span L of its columns:
+    |ker A mod l| = l^V / |Im A mod l|, and Im A mod l = (L + lZ^R) / lZ^R.
+    So any generating set G of L gives the same count, as
+    l^(V - |G|) * |ker G mod l|.  Three steps shrink G.  The columns of
+    offsets d != p/2 are zero and are dropped.  The g columns between two
+    cycles are equal, and one is kept.  Two cycles a, b of equal length
+    give the generator e_a - e_b, which spans the kernel of the map that
+    merges rows a and b; merging them leaves Z^R / L unchanged and removes
+    one row and that generator from the system, while |G| in the exponent
+    still counts the generator.  What is left has one row per distinct cycle
+    length and one per even cycle, and its columns are 2 e_h + e_p for each
+    even cycle's half orbit h and (q/g) e_p - (p/g) e_q for each pair of
+    distinct lengths.  The identity becomes a 1 x 0 system.  Returned are
+    that system and the exponent V - |G|, with one generator counted per
+    merge, so the fixed count is l^exponent times the system's solution
+    count mod l.
     """
-    columns: list[dict[int, int]] = []  # per variable: its coefficient in each cycle's row
-    halves: list[int] = []  # variables of self-reversed orbits
-    for a, p in enumerate(parts):
-        for d in range(1, p // 2 + 1):
-            if 2 * d == p:
-                halves.append(len(columns))
-                columns.append({a: 1})
-            else:
-                columns.append({})
-        for b in range(a + 1, len(parts)):
-            q = parts[b]
+    mult = Counter(parts)
+    lengths = list(mult)
+    row = {p: k for k, p in enumerate(lengths)}
+    evens = [p for p in parts if p % 2 == 0]
+    columns = [{len(lengths) + h: 2, row[p]: 1} for h, p in enumerate(evens)]
+    # V: offsets 1..p/2 within each cycle, gcd(p, q) between each pair of cycles
+    variables = sum(m * (p // 2) + m * (m - 1) // 2 * p for p, m in mult.items())
+    for k, p in enumerate(lengths):
+        for q in lengths[k + 1 :]:
             g = math.gcd(p, q)
-            columns.extend({a: q // g, b: -(p // g)} for _ in range(g))
-    rows = [[2 if k == h else 0 for k in range(len(columns))] for h in halves]
-    rows += [[column.get(a, 0) for column in columns] for a in range(len(parts))]
-    return IntMatrix.from_rows(rows, len(columns))
+            variables += mult[p] * mult[q] * g
+            columns.append({row[p]: q // g, row[q]: -(p // g)})
+    merged = len(parts) - len(lengths)
+    rows = [[column.get(r, 0) for column in columns] for r in range(len(lengths) + len(evens))]
+    return IntMatrix.from_rows(rows, len(columns)), variables - merged - len(columns)
+
+
+def _fixed_eulerian(parts: Sequence[int], modulus: int) -> int:
+    """Eulerian matrices mod `modulus` fixed by a relabeling of cycle type `parts`."""
+    system, free = _orbit_system(parts)
+    return modulus**free * count_solutions_mod(system, modulus)
 
 
 def count_eulerian_classes(modulus: int, size: int) -> int:
     """Number of isomorphism classes of Eulerian matrices (all row sums zero mod l).
 
     Burnside's lemma over cycle types: the Eulerian matrices fixed by a
-    relabeling are the solutions mod l of its orbit system, counted through
-    the Smith normal form.
+    relabeling are counted on the column lattice of its orbit system,
+    through the Smith normal form.
     """
     _check_args(modulus, size)
-    total = sum(
-        ct.class_size * count_solutions_mod(_orbit_system(ct.parts), modulus)
-        for ct in cycle_types(size)
-    )
+    total = sum(ct.class_size * _fixed_eulerian(ct.parts, modulus) for ct in cycle_types(size))
     return _exact_div(total, math.factorial(size), "Burnside sum")
 
 
@@ -287,11 +328,8 @@ def brute_force_census(modulus: int, size: int) -> CensusResult:
     """
     _check_args(modulus, size)
     npairs = size * (size - 1) // 2
+    _check_work("brute-force census", modulus, npairs, size, BRUTE_GUARD)
     total = modulus**npairs
-    if total > BRUTE_GUARD:
-        raise ResourceGuardError(
-            f"brute-force census needs {total} matrices, over the bound {BRUTE_GUARD}"
-        )
     ntrips = math.comb(size, 3)
     trips = list(itertools.combinations(range(size), 3))
     pair_index = {p: k for k, p in enumerate(_pairs(size))}
@@ -330,11 +368,8 @@ def enumerate_eulerian_representatives(modulus: int, size: int) -> list[AltMatri
     """
     _check_args(modulus, size)
     free = (size - 1) * (size - 2) // 2
+    _check_work("listing", modulus, free, size, EULERIAN_ENUM_GUARD)
     total = modulus**free
-    if total > EULERIAN_ENUM_GUARD:
-        raise ResourceGuardError(
-            f"listing needs {total} Eulerian matrices, over the bound {EULERIAN_ENUM_GUARD}"
-        )
     npairs = size * (size - 1) // 2
     if modulus**npairs > _ENCODE_LIMIT:
         raise ResourceGuardError(

@@ -158,12 +158,11 @@ def _check_permutation(sigma: Sequence[int], n: int) -> None:
 def relabel(m: AltMatrix, sigma: Sequence[int]) -> AltMatrix:
     """Relabel vertices: entry (sigma(i), sigma(j)) of the result is m_ij."""
     _check_permutation(sigma, m.size)
-    n = m.size
-    ent = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            ent[sigma[i] - 1][sigma[j] - 1] = m.entries[i][j]
-    return AltMatrix(m.modulus, n, tuple(tuple(row) for row in ent))
+    inv = [0] * m.size  # inv[a] is the 0-indexed preimage of vertex a + 1
+    for i, s in enumerate(sigma):
+        inv[s - 1] = i
+    rows = [m.entries[i] for i in inv]
+    return AltMatrix(m.modulus, m.size, tuple([tuple([row[j] for j in inv]) for row in rows]))
 
 
 def triple_tensor(m: AltMatrix) -> TripleTensor:
@@ -200,7 +199,8 @@ def switching_equivalent(m: AltMatrix, mp: AltMatrix) -> EquivWitness | None:
     base = switch_many(m, a)
     for v in range(1, n + 1):
         b = _isolating_exponents(mp, v)
-        sigma = isomorphic(base, switch_many(mp, b))
+        # the witness check below covers the isomorphism, so the search runs unchecked
+        sigma = _isomorphism(base, switch_many(mp, b))
         if sigma is None:
             continue
         c = [a[i] - b[sigma[i] - 1] for i in range(n)]
@@ -216,8 +216,16 @@ def isomorphic(m: AltMatrix, mp: AltMatrix) -> Permutation | None:
 
     Backtracking over images in lex order, pruned by sorted row multisets
     and by pairwise entry agreement with all previously placed vertices.
+    The permutation is checked with relabel before it is returned.
     """
     _check_compatible(m, mp)
+    sigma = _isomorphism(m, mp)
+    if sigma is not None and relabel(m, sigma) != mp:
+        raise RuntimeError(f"isomorphism {sigma} failed verification")
+    return sigma
+
+
+def _isomorphism(m: AltMatrix, mp: AltMatrix) -> Permutation | None:
     rows_m = [tuple(sorted(row)) for row in m.entries]
     rows_p = [tuple(sorted(row)) for row in mp.entries]
     if sorted(rows_m) != sorted(rows_p):

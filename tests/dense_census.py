@@ -2,9 +2,12 @@
 
 Each fixed-point count is a solution count of a system on all C(n, 2)
 entry coordinates, built separately for switching classes and for
-Eulerian classes.  The library counts both on the much smaller σ-orbit
-system; these systems make no use of orbits or of the duality between the
-two counts, so they check it independently.
+Eulerian classes.  The library counts both on a small generating set of
+the column lattice of the σ-orbit system; these systems make no use of
+orbits or of the duality between the two counts, so they check it
+independently.  The σ-orbit system itself, with one column per orbit
+variable, is kept here too: it reaches sizes the dense systems cannot, and
+checks the lattice reduction there.
 """
 
 from __future__ import annotations
@@ -149,3 +152,35 @@ def count_eulerian_classes(modulus: int, size: int) -> int:
 
 def count_switching_classes(modulus: int, size: int) -> int:
     return _burnside(switching_fixed, modulus, size)
+
+
+def orbit_variable_system(parts: Sequence[int]) -> IntMatrix:
+    """The σ-orbit system with one column per orbit variable and one row per cycle.
+
+    A fixed matrix is constant on each orbit of ordered vertex pairs and
+    negated on the reversed orbit, so it has one variable per {orbit,
+    reversed orbit}.  On one cycle of length p the orbits are the offsets
+    d = 1..p-1, and offset d reverses to p - d; the orbit at d = p/2 is its
+    own reverse, which forces 2x = 0.  Between cycles of lengths p and q
+    there are g = gcd(p, q) orbits, each reversing into the opposite block.
+    Row sums are constant on each cycle, so the Eulerian condition is one
+    row per cycle: offsets d and p - d cancel in it, and each orbit between
+    two cycles is met q/g times from the first and -p/g times from the
+    second.
+    """
+    columns: list[dict[int, int]] = []  # per variable: its coefficient in each cycle's row
+    halves: list[int] = []  # variables of self-reversed orbits
+    for a, p in enumerate(parts):
+        for d in range(1, p // 2 + 1):
+            if 2 * d == p:
+                halves.append(len(columns))
+                columns.append({a: 1})
+            else:
+                columns.append({})
+        for b in range(a + 1, len(parts)):
+            q = parts[b]
+            g = math.gcd(p, q)
+            columns.extend({a: q // g, b: -(p // g)} for _ in range(g))
+    rows = [[2 if k == h else 0 for k in range(len(columns))] for h in halves]
+    rows += [[column.get(a, 0) for column in columns] for a in range(len(parts))]
+    return IntMatrix.from_rows(rows, len(columns))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 from itertools import combinations
 
 import numpy as np
@@ -27,11 +28,16 @@ from skewswitch import (
     relabel,
     switch_many,
 )
-from skewswitch.census import REFERENCE_TABLES, _orbit_system, _pairs
+from skewswitch.census import REFERENCE_TABLES, _fixed_eulerian, _orbit_system, _pairs
 
 S2_TABLE = (1, 1, 2, 3, 7, 16, 54, 243, 2038, 33120, 1182004)
 S3_TABLE = (1, 1, 2, 4, 14, 120, 3222, 271287, 64154817, 41653775052, 74220906305025)
 T4_TABLE = (1, 1, 3, 8, 62, 1760)
+# switching classes at modulus 3 and size 30, as counted on one column per orbit variable
+S3_AT_30 = int(
+    "193896219401708934108200419545788472000543810679500045915728583634744625605510559662267"
+    "669246951012420224621754390189168775101374770595137549760145502584713589740"
+)
 
 # frozen outputs of the independent enumeration oracle
 ORACLE_CENSUS = {
@@ -170,6 +176,15 @@ class TestBurnsideCounts:
         assert count_eulerian_classes(p, 4) == D.count_eulerian_classes(p, 4)
         assert count_switching_classes(p, 4) == D.count_switching_classes(p, 4)
 
+    def test_digraphs_on_thirty_vertices_within_time(self):
+        # 5604 cycle types: about 1 s on the lattice systems, 11-14 s with one column
+        # per orbit variable (Python 3.11, one Intel Xeon core)
+        start = time.perf_counter()
+        got = count_switching_classes(3, 30)
+        elapsed = time.perf_counter() - start
+        assert got == S3_AT_30
+        assert elapsed < 5.0, f"count_switching_classes(3, 30) took {elapsed:.1f}s"
+
     def test_reference_tables_match_recomputation(self):
         for (modulus, kind), values in REFERENCE_TABLES.items():
             counter = (
@@ -179,23 +194,36 @@ class TestBurnsideCounts:
 
 
 class TestOrbitSystemAgainstDenseOracle:
-    """The orbit system against the dense systems of dense_census."""
+    """The orbit lattice system against the dense systems of dense_census."""
 
     def test_fixed_counts_per_cycle_type(self):
         # pins the duality relabeling by relabeling, not only in the sum
         for size in range(1, 7):
             for ct in cycle_types(size):
-                system = _orbit_system(ct.parts)
                 sigma = D.cycle_permutation(size, ct.parts)
                 for modulus in range(2, 9):
-                    fixed = count_solutions_mod(system, modulus)
+                    fixed = _fixed_eulerian(ct.parts, modulus)
                     assert fixed == D.eulerian_fixed(modulus, size, sigma), (modulus, ct)
                     assert fixed == D.switching_fixed(modulus, size, sigma), (modulus, ct)
 
+    def test_fixed_counts_match_orbit_variable_system(self):
+        # the lattice reduction against one column per orbit variable, past the dense sizes
+        for size in range(1, 13):
+            for ct in cycle_types(size):
+                system = D.orbit_variable_system(ct.parts)
+                for modulus in (*range(2, 13), 4294967311):
+                    expected = count_solutions_mod(system, modulus)
+                    assert _fixed_eulerian(ct.parts, modulus) == expected, (modulus, ct)
+
     def test_system_shape(self):
-        # parts (4, 2, 1): offsets 1, 2 and 1, the last two self-reversed; gcds 2, 1, 1
-        system = _orbit_system((4, 2, 1))
-        assert (system.rows, system.cols) == (2 + 3, 3 + 4)
+        # parts (4, 2, 1): rows for lengths 4, 2, 1 and for the two half orbits;
+        # columns for the two half orbits and the three pairs of lengths, out of
+        # 7 orbit variables (offsets 1, 2 and 1; gcds 2, 1, 1)
+        system, free = _orbit_system((4, 2, 1))
+        assert (system.rows, system.cols, free) == (3 + 2, 2 + 3, 7 - 5)
+        # the identity: one merged row and no columns, so l^C(n-1, 2) fixed matrices
+        system, free = _orbit_system((1,) * 12)
+        assert (system.rows, system.cols, free) == (1, 0, math.comb(11, 2))
 
     def test_whole_counts(self):
         for modulus in range(2, 13):
@@ -240,8 +268,11 @@ class TestBruteForceCensus:
         assert matched == {0, 1, 2, 3}
 
     def test_resource_guard(self):
-        with pytest.raises(ResourceGuardError):
-            brute_force_census(2, 40)
+        # the guard bounds matrices times n! relabelings: 2^21 * 7! and 5^10 * 5!
+        # are refused although both have fewer than 10^8 matrices
+        for modulus, size in ((2, 40), (2, 7), (5, 5)):
+            with pytest.raises(ResourceGuardError, match="relabelings"):
+                brute_force_census(modulus, size)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -284,8 +315,10 @@ class TestEnumerateEulerianRepresentatives:
         assert reps == sorted(reps, key=lambda m: m.entries)
 
     def test_enumeration_guard(self):
-        with pytest.raises(ResourceGuardError):
-            enumerate_eulerian_representatives(3, 7)
+        # 4^10 * 6! = 7.5e8 comparisons: refused although 4^10 matrices are few
+        for modulus, size in ((3, 7), (4, 6)):
+            with pytest.raises(ResourceGuardError, match="relabelings"):
+                enumerate_eulerian_representatives(modulus, size)
 
     def test_encoding_guard(self):
         with pytest.raises(ResourceGuardError):

@@ -306,6 +306,19 @@ class TestCountCensusTables:
         assert run(["census", "--modulus", "3", "--n", "7", "--list"]) == EXIT_GUARD
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--modulus", "4", "--n", "6", "--list"],
+            ["--modulus", "2", "--n", "7", "--brute-force"],
+            ["--modulus", "5", "--n", "5", "--brute-force"],
+        ],
+    )
+    def test_census_guard_counts_relabelings(self, capsys, argv):
+        # fewer than 10^8 matrices each, but over 10^8 matrices times n! relabelings
+        assert run(["census", *argv]) == EXIT_GUARD
+        assert "relabelings, over the bound" in capsys.readouterr().err
+
     def test_tables_check(self, capsys):
         assert run(["tables", "--check"]) == EXIT_YES
         out = capsys.readouterr().out

@@ -395,6 +395,15 @@ class TestIsomorphic:
         b = make(3, 2, [[0, 2], [1, 0]])
         assert isomorphic(a, b) == (2, 1)
 
+    def test_unverified_isomorphism_is_never_returned(self, monkeypatch):
+        m = H.random_alt(random.Random(15), 3, 5)
+        # a search that answers the identity although the target is relabeled
+        monkeypatch.setattr(skewmat, "_extend_isomorphism", lambda *args: (1, 2, 3, 4, 5))
+        target = relabel(m, (2, 3, 4, 5, 1))
+        assert target != m
+        with pytest.raises(RuntimeError):
+            isomorphic(m, target)
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(matrices(max_size=6), st.randoms(use_true_random=False))
     def test_relabel_roundtrip(self, m, rng):
