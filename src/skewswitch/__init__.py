@@ -15,6 +15,7 @@ from .algfrontend import (
 )
 from .census import (
     BRUTE_GUARD,
+    COUNT_GUARD,
     EULERIAN_ENUM_GUARD,
     REFERENCE_TABLES,
     CensusResult,
@@ -70,6 +71,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AltMatrix",
     "BRUTE_GUARD",
+    "COUNT_GUARD",
     "CensusResult",
     "ClassificationReport",
     "ComponentDescriptor",

@@ -31,6 +31,7 @@ from .skewmat import AltMatrix
 
 __all__ = [
     "BRUTE_GUARD",
+    "COUNT_GUARD",
     "EULERIAN_ENUM_GUARD",
     "REFERENCE_TABLES",
     "CycleType",
@@ -47,6 +48,9 @@ __all__ = [
 # l^C(n,2) of them; the representative listing every Eulerian one, l^C(n-1,2).
 BRUTE_GUARD = 10**8
 EULERIAN_ENUM_GUARD = 10**8
+# The counts solve one system per cycle type, p(n) of them, at a few thousand
+# per second: p(35) = 14883 takes about 3 s, and the bound admits n <= 45.
+COUNT_GUARD = 10**5
 # entry tuples are deduplicated through base-l integer encodings; they must fit in int64
 _ENCODE_LIMIT = 1 << 62
 _CHUNK = 1 << 18
@@ -107,6 +111,30 @@ def _check_work(what: str, modulus: int, exponent: int, size: int, bound: int) -
                 f"{what} needs {modulus}^{exponent} matrices times {size}! relabelings, "
                 f"over the bound {bound}"
             )
+
+
+def _check_cycle_types(size: int, bound: int) -> None:
+    """Refuse when size has more than `bound` cycle types (partitions of size).
+
+    The partition numbers p(1), p(2), ... come from Euler's pentagonal
+    recurrence p(m) = sum over k >= 1 of (-1)^(k+1) (p(m - k(3k-1)/2) +
+    p(m - k(3k+1)/2)).  They increase, so the walk stops at the first one
+    over the bound, within a few dozen steps however large the size.
+    """
+    p = [1]
+    for m in range(1, size + 1):
+        total, k = 0, 1
+        while (g := k * (3 * k - 1) // 2) <= m:
+            sign = 1 if k % 2 else -1
+            total += sign * p[m - g]
+            if g + k <= m:
+                total += sign * p[m - g - k]
+            k += 1
+        if total > bound:
+            raise ResourceGuardError(
+                f"size {size} has more than {bound} cycle types (p({m}) = {total}), one system each"
+            )
+        p.append(total)
 
 
 def _partitions(n: int, cap: int) -> Iterator[tuple[int, ...]]:
@@ -237,9 +265,11 @@ def count_eulerian_classes(modulus: int, size: int) -> int:
 
     Burnside's lemma over cycle types: the Eulerian matrices fixed by a
     relabeling are counted on the column lattice of its orbit system,
-    through the Smith normal form.
+    through the Smith normal form.  Sizes with more than COUNT_GUARD cycle
+    types are refused with ResourceGuardError.
     """
     _check_args(modulus, size)
+    _check_cycle_types(size, COUNT_GUARD)
     total = sum(ct.class_size * _fixed_eulerian(ct.parts, modulus) for ct in cycle_types(size))
     return _exact_div(total, math.factorial(size), "Burnside sum")
 

@@ -39,6 +39,17 @@ def random_alt(rng, modulus, size):
     )
 
 
+def paley(p, modulus):
+    """Paley graph (modulus 2, p = 1 mod 4) or Paley tournament (modulus 3, p = 3 mod 4)."""
+    residues = {x * x % p for x in range(1, p)}
+    other = 0 if modulus == 2 else modulus - 1  # a non-edge, or the reverse arc
+    return make(
+        modulus,
+        p,
+        [[0 if i == j else 1 if (j - i) % p in residues else other for j in range(p)] for i in range(p)],
+    )
+
+
 def difference(a, b):
     """Entrywise a - b (mod l)."""
     l, n = a.modulus, a.size

@@ -11,10 +11,13 @@ import random
 import time
 from itertools import combinations
 
+import facet_oracle as FO
 import helpers as H
 from skewswitch import (
     SimplicialComplex,
+    SkewAlgebraSpec,
     brute_force_census,
+    classify_pair,
     complexes_isomorphic,
     count_eulerian_classes,
     count_switching_classes,
@@ -299,3 +302,30 @@ def test_criterion_10_switching_witnesses_at_forty_vertices():
         assert w is not None and verify_witness(m, target, w)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"forty-vertex equivalence took {elapsed:.1f}s"
+
+
+def best_of_three(call):
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        result = call()
+        times.append(time.perf_counter() - start)
+    return result, min(times)
+
+
+def test_criterion_11_point_complexes_within_time():
+    # 840 facets: about 11 ms on the bitset grower, about 490 ms on the extension
+    # oracle (Python 3.11, one Intel Xeon core)
+    m = H.random_alt(random.Random(1101), 2, 30)
+    got, elapsed = best_of_three(lambda: facets(m))
+    assert got == FO.facets(m)
+    assert elapsed < 0.1, f"facets at thirty vertices took {elapsed:.3f}s"
+
+    # a switched and relabeled pair on twenty vertices: about 6 ms, 50-60 ms with
+    # the extension oracle and the facet-scanning co-degrees
+    rng = random.Random(1102)
+    a = H.random_alt(rng, 3, 20)
+    b = relabel(switch_many(a, tuple(rng.randrange(3) for _ in range(20))), H.random_permutation(rng, 20))
+    report, elapsed = best_of_three(lambda: classify_pair(SkewAlgebraSpec(a), SkewAlgebraSpec(b)))
+    assert report.grmod_equivalent is not None and report.complexes_isomorphic is not None
+    assert elapsed < 0.04, f"classify at twenty vertices took {elapsed:.3f}s"

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import dense_census as D
 import helpers as H
 from skewswitch import (
+    COUNT_GUARD,
     CensusResult,
     CycleType,
     ResourceGuardError,
@@ -28,7 +29,13 @@ from skewswitch import (
     relabel,
     switch_many,
 )
-from skewswitch.census import REFERENCE_TABLES, _fixed_eulerian, _orbit_system, _pairs
+from skewswitch.census import (
+    REFERENCE_TABLES,
+    _check_cycle_types,
+    _fixed_eulerian,
+    _orbit_system,
+    _pairs,
+)
 
 S2_TABLE = (1, 1, 2, 3, 7, 16, 54, 243, 2038, 33120, 1182004)
 S3_TABLE = (1, 1, 2, 4, 14, 120, 3222, 271287, 64154817, 41653775052, 74220906305025)
@@ -184,6 +191,24 @@ class TestBurnsideCounts:
         elapsed = time.perf_counter() - start
         assert got == S3_AT_30
         assert elapsed < 5.0, f"count_switching_classes(3, 30) took {elapsed:.1f}s"
+
+    def test_cycle_type_guard_counts_partitions(self):
+        # the pentagonal recurrence lands exactly on the number of cycle types
+        for n in range(1, 31):
+            p = len(cycle_types(n))
+            _check_cycle_types(n, p)
+            with pytest.raises(ResourceGuardError, match=f"p\\({n}\\) = {p}"):
+                _check_cycle_types(n, p - 1)
+
+    def test_count_guard_refuses_at_once(self):
+        # p(45) = 89134 is admitted, p(46) = 105558 is not; nothing is solved before refusing
+        start = time.perf_counter()
+        for n in (46, 100, 10**9):
+            for counter in (count_switching_classes, count_eulerian_classes):
+                with pytest.raises(ResourceGuardError, match=f"more than {COUNT_GUARD} cycle types"):
+                    counter(3, n)
+        assert time.perf_counter() - start < 1.0
+        _check_cycle_types(45, COUNT_GUARD)
 
     def test_reference_tables_match_recomputation(self):
         for (modulus, kind), values in REFERENCE_TABLES.items():

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -279,6 +280,14 @@ class TestCountCensusTables:
     def test_count_large_prime_modulus(self, capsys):
         assert run(["count", "--modulus", "4294967311", "--n", "4"]) == EXIT_YES
         assert capsys.readouterr().out.strip() == str(D.count_switching_classes(4294967311, 4))
+
+    @pytest.mark.parametrize("command", ["count", "census"])
+    def test_count_guard_exit_code(self, capsys, command):
+        # p(100) is about 1.9e8 cycle types: hours of solving, refused at once
+        start = time.perf_counter()
+        assert run([command, "--modulus", "3", "--n", "100"]) == EXIT_GUARD
+        assert time.perf_counter() - start < 1.0
+        assert "cycle types" in capsys.readouterr().err
 
     def test_census_burnside(self, capsys):
         code, doc = run_json(capsys, ["census", "--modulus", "3", "--n", "4"])

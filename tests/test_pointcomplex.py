@@ -8,6 +8,7 @@ from itertools import combinations, permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import facet_oracle as FO
 import helpers as H
 from skewswitch import (
     ComponentDescriptor,
@@ -24,7 +25,7 @@ from skewswitch import (
     switch,
     variety_components,
 )
-from skewswitch.pointcomplex import _maximal_independent_sets
+from skewswitch.pointcomplex import _maximal_independent_sets, _maximal_sets, _zero_triple_masks
 
 
 @st.composite
@@ -61,6 +62,22 @@ class TestSimplicialComplexValidation:
     def test_out_of_range_vertex_rejected(self):
         with pytest.raises(ValueError):
             SimplicialComplex(3, ((1, 2, 4),))
+
+    def test_duplicated_facet_rejected(self):
+        with pytest.raises(ValueError, match=r"facet \(1, 2\) is contained in \(1, 2\)"):
+            SimplicialComplex(3, ((1, 2), (1, 2), (2, 3)))
+
+    def test_containment_names_first_pair(self):
+        # facet order first, then the earliest facet holding it, before or after
+        with pytest.raises(ValueError, match=r"facet \(1, 3\) is contained in \(1, 2, 3\)"):
+            SimplicialComplex(4, ((1, 2, 3), (1, 3), (1, 4), (3, 4)))
+        with pytest.raises(ValueError, match=r"facet \(\) is contained in \(1, 2\)"):
+            SimplicialComplex(2, ((), (1, 2)))
+
+    def test_incidence_masks(self):
+        c = SimplicialComplex(4, ((1, 2, 3), (1, 4), (3, 4)))
+        assert c.incidence == (0b011, 0b001, 0b101, 0b110)
+        assert c == SimplicialComplex(4, c.facets) and hash(c) == hash(SimplicialComplex(4, c.facets))
 
 
 class TestIsFace:
@@ -325,3 +342,62 @@ class TestIsolationCharacterization:
         moved = relabel(switch(m, 2), (3, 1, 4, 5, 2))
         assert single_sigma_matches_all_isolations(m, moved)
         assert complexes_isomorphic(facets(m), facets(moved)) is not None
+
+
+def oracle_cases():
+    rng = random.Random(71)
+    for modulus in range(2, 8):
+        for size in range(1, 10):
+            for _ in range(4):
+                yield H.random_alt(rng, modulus, size)
+    for p in (5, 13, 17):
+        yield H.paley(p, 2)
+    for p in (3, 7, 11, 19):
+        yield H.paley(p, 3)
+
+
+class TestBitsetGrowerAgainstOracle:
+    # the extension-oracle routes in facet_oracle visit sets in the same order
+
+    def test_facets_in_visiting_order(self):
+        for m in oracle_cases():
+            assert _maximal_sets(_zero_triple_masks(m)) == FO.maximal_faces(m)
+            assert facets(m) == FO.facets(m)
+
+    def test_independent_sets_in_visiting_order(self):
+        for m in oracle_cases():
+            assert _maximal_independent_sets(m) == FO.maximal_independent_sets(m)
+            assert independence_number(m) == FO.independence_number(m)
+
+    def test_facets_via_isolations(self):
+        for m in oracle_cases():
+            assert facets_via_isolations(m) == FO.facets_via_isolations(m)
+
+
+def complex_pairs():
+    rng = random.Random(72)
+    for modulus in (2, 3, 4, 5):
+        for size in range(1, 9):
+            for _ in range(3):
+                m = H.random_alt(rng, modulus, size)
+                sigma = H.random_permutation(rng, size)
+                switched = relabel(switch(m, rng.randrange(size) + 1), sigma)
+                yield facets(m), relabeled_facets(facets(m), sigma)
+                yield facets(m), facets(switched)
+                yield facets(m), facets(H.random_alt(rng, modulus, size))
+    for p, modulus in ((5, 2), (13, 2), (3, 3), (7, 3)):
+        m = H.paley(p, modulus)
+        sigma = H.random_permutation(rng, p)
+        yield facets(m), facets(relabel(switch(m, 2), sigma))
+    displays = [SimplicialComplex(5, fac) for _, fac in H.CLASSES_5]
+    yield from combinations(displays, 2)
+
+
+class TestComplexIsomorphismAgainstOracle:
+    def test_same_bijection_as_codegree_scan(self):
+        found = 0
+        for c, cp in complex_pairs():
+            got = complexes_isomorphic(c, cp)
+            assert got == FO.complexes_isomorphic(c, cp)
+            found += got is not None
+        assert found > 100  # the relabeled and switched pairs, at least
