@@ -12,7 +12,10 @@ length and one per even cycle (see _orbit_system).  Solutions are counted
 mod l through the Smith normal form (count_solutions_mod), so prime and
 composite moduli of any size take the same exact route.  A brute-force
 census over all matrices doubles as an independent oracle at small sizes
-and produces canonical class representatives.
+and produces canonical class representatives.  The two enumerations
+(brute_force_census and enumerate_eulerian_representatives) run on numpy
+tables and import numpy when called; the counts need only the standard
+library, so importing this module does not load numpy.
 """
 
 from __future__ import annotations
@@ -21,13 +24,14 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import ResourceGuardError
 from .modlinalg import IntMatrix, count_solutions_mod
 from .skewmat import AltMatrix
+
+if TYPE_CHECKING:
+    import numpy
 
 __all__ = [
     "BRUTE_GUARD",
@@ -293,7 +297,7 @@ def count_switching_classes(modulus: int, size: int) -> int:
     return count_eulerian_classes(modulus, size)
 
 
-def _relabel_tables(size: int, with_triples: bool) -> list[tuple[np.ndarray, ...]]:
+def _relabel_tables(np, size: int, with_triples: bool) -> list[tuple[numpy.ndarray, ...]]:
     tables = []
     for sigma0 in itertools.permutations(range(size)):
         inv = _inverse0(sigma0)
@@ -306,15 +310,15 @@ def _relabel_tables(size: int, with_triples: bool) -> list[tuple[np.ndarray, ...
     return tables
 
 
-def _encode_weights(modulus: int, length: int) -> np.ndarray:
+def _encode_weights(np, modulus: int, length: int) -> numpy.ndarray:
     return np.array([modulus ** (length - 1 - k) for k in range(length)], dtype=np.int64)
 
 
 def _min_relabel_encoding(
-    x: np.ndarray, tables, which: slice, weights: np.ndarray, modulus: int
-) -> np.ndarray:
+    np, x: numpy.ndarray, tables, which: slice, weights: numpy.ndarray, modulus: int
+) -> numpy.ndarray:
     """Per row of x, the smallest base-l encoding over all relabelings."""
-    best: np.ndarray | None = None
+    best: numpy.ndarray | None = None
     for table in tables:
         pos, flip = table[which]
         cand = x[:, pos]
@@ -338,7 +342,7 @@ def _decode_matrix(encoding: int, modulus: int, size: int) -> AltMatrix:
     return AltMatrix(modulus, size, tuple(tuple(row) for row in grid))
 
 
-def _row_sum_columns(size: int) -> np.ndarray:
+def _row_sum_columns(np, size: int) -> numpy.ndarray:
     # column v of the result, applied to entry vectors, is the row sum at v
     npairs = size * (size - 1) // 2
     cols = np.zeros((npairs, size), dtype=np.int64)
@@ -359,6 +363,8 @@ def brute_force_census(modulus: int, size: int) -> CensusResult:
     _check_args(modulus, size)
     npairs = size * (size - 1) // 2
     _check_work("brute-force census", modulus, npairs, size, BRUTE_GUARD)
+    import numpy as np
+
     total = modulus**npairs
     ntrips = math.comb(size, 3)
     trips = list(itertools.combinations(range(size), 3))
@@ -366,10 +372,10 @@ def brute_force_census(modulus: int, size: int) -> CensusResult:
     first = np.array([pair_index[(i, j)] for i, j, h in trips], dtype=np.int64)
     second = np.array([pair_index[(j, h)] for i, j, h in trips], dtype=np.int64)
     closing = np.array([pair_index[(i, h)] for i, j, h in trips], dtype=np.int64)
-    tables = _relabel_tables(size, with_triples=True)
-    entry_weights = _encode_weights(modulus, npairs)
-    triple_weights = _encode_weights(modulus, ntrips)
-    row_sum_cols = _row_sum_columns(size)
+    tables = _relabel_tables(np, size, with_triples=True)
+    entry_weights = _encode_weights(np, modulus, npairs)
+    triple_weights = _encode_weights(np, modulus, ntrips)
+    row_sum_cols = _row_sum_columns(np, size)
     class_codes: set[int] = set()
     iso_codes: set[int] = set()
     for start in range(0, total, _CHUNK):
@@ -377,12 +383,12 @@ def brute_force_census(modulus: int, size: int) -> CensusResult:
         entries = (idx[:, None] // entry_weights) % modulus
         triples = (entries[:, first] + entries[:, second] - entries[:, closing]) % modulus
         class_codes.update(
-            _min_relabel_encoding(triples, tables, slice(2, 4), triple_weights, modulus).tolist()
+            _min_relabel_encoding(np, triples, tables, slice(2, 4), triple_weights, modulus).tolist()
         )
         eulerian = entries[((entries @ row_sum_cols) % modulus == 0).all(axis=1)]
         if eulerian.shape[0]:
             iso_codes.update(
-                _min_relabel_encoding(eulerian, tables, slice(0, 2), entry_weights, modulus).tolist()
+                _min_relabel_encoding(np, eulerian, tables, slice(0, 2), entry_weights, modulus).tolist()
             )
     reps = tuple(_decode_matrix(e, modulus, size) for e in sorted(iso_codes))
     return CensusResult(modulus, size, len(class_codes), len(iso_codes), reps)
@@ -405,6 +411,8 @@ def enumerate_eulerian_representatives(modulus: int, size: int) -> list[AltMatri
         raise ResourceGuardError(
             f"entry encodings for modulus {modulus}, size {size} overflow 62-bit integers"
         )
+    import numpy as np
+
     pair_index = {p: k for k, p in enumerate(_pairs(size))}
     free_cols = np.array(
         [pair_index[(i, j)] for i, j in _pairs(size) if i >= 1], dtype=np.int64
@@ -417,9 +425,9 @@ def enumerate_eulerian_representatives(modulus: int, size: int) -> list[AltMatri
             if k != j:
                 terms.append((pair_index[(j, k)], 1) if j < k else (pair_index[(k, j)], -1))
         completions.append((pair_index[(0, j)], terms))
-    tables = _relabel_tables(size, with_triples=False)
-    entry_weights = _encode_weights(modulus, npairs)
-    free_weights = _encode_weights(modulus, free)
+    tables = _relabel_tables(np, size, with_triples=False)
+    entry_weights = _encode_weights(np, modulus, npairs)
+    free_weights = _encode_weights(np, modulus, free)
     iso_codes: set[int] = set()
     for start in range(0, total, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
@@ -432,6 +440,6 @@ def enumerate_eulerian_representatives(modulus: int, size: int) -> list[AltMatri
                 acc += sign * entries[:, c]
             entries[:, col] = acc % modulus
         iso_codes.update(
-            _min_relabel_encoding(entries, tables, slice(0, 2), entry_weights, modulus).tolist()
+            _min_relabel_encoding(np, entries, tables, slice(0, 2), entry_weights, modulus).tolist()
         )
     return [_decode_matrix(e, modulus, size) for e in sorted(iso_codes)]

@@ -4,16 +4,16 @@ A matrix is modular Eulerian when every row sums to 0 mod l.  When the size
 n is coprime to l, each pure-switching orbit contains exactly one such
 matrix and `eulerize` constructs it directly from the row-sum profile; the
 coprimality hypothesis is sharp, and `eulerian_in_orbit` exhibits the
-failure cases (none or several Eulerian matrices in one orbit) by exact
-enumeration.
+failure cases (none or several Eulerian matrices in one orbit) exactly, by
+listing the switchings that solve the row-sum conditions as an affine
+coset: gcd(n, l)^(n-1) candidates rather than the l^(n-1) of the orbit.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import gcd
-
-import numpy as np
 
 from .errors import NotCoprimeError, ResourceGuardError
 from .skewmat import AltMatrix, SwitchExponents, switch_many
@@ -27,6 +27,7 @@ __all__ = [
     "ORBIT_GUARD",
 ]
 
+# bounds the switchings eulerian_in_orbit lists, gcd(n, l)^(n-1) of them
 ORBIT_GUARD = 10**7
 
 
@@ -78,27 +79,35 @@ def eulerize(m: AltMatrix) -> tuple[AltMatrix, SwitchExponents]:
 def eulerian_in_orbit(m: AltMatrix) -> list[AltMatrix]:
     """All modular Eulerian matrices among the pure switchings of m.
 
-    Enumerates the l^(n-1) exponent vectors with a_1 = 0 (constants act
-    trivially, so this covers the orbit once) and keeps the Eulerian hits,
-    sorted lexicographically by entries.
+    Constants act trivially, so exponent vectors with a_1 = 0 cover the
+    orbit once, each matrix exactly once.  With r the row sums, switching
+    by a leaves row sum r_i + sum(a) - n a_i at vertex i, so the Eulerian
+    members solve
+
+        n a_i = r_i - r_1 (mod l) for i >= 2,   and   sum(a) = -r_1 (mod l).
+
+    With g = gcd(n, l), each a_i has g solutions, spaced l/g apart, when g
+    divides r_i - r_1 and none otherwise.  That coset of g^(n-1) candidates
+    is listed and filtered on sum(a); ORBIT_GUARD bounds its size.  The
+    hits are sorted lexicographically by entries.
     """
     l, n = m.modulus, m.size
-    total = l ** (n - 1)
+    sums = _row_sums(m)
+    g = gcd(n, l)
+    if any((r - sums[0]) % g for r in sums[1:]):
+        return []
+    total = g ** (n - 1)
     if total > ORBIT_GUARD:
         raise ResourceGuardError(
-            f"orbit of size {l}^{n - 1} = {total} exceeds the guard {ORBIT_GUARD}"
+            f"switching coset of size {g}^{n - 1} = {total} exceeds the guard {ORBIT_GUARD}"
         )
-    base = np.array(_row_sums(m), dtype=np.int64)
-    hits: list[AltMatrix] = []
-    chunk = 1 << 15
-    weights = l ** np.arange(n - 2, -1, -1, dtype=np.int64) if n > 1 else None
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        a = np.zeros((idx.size, n), dtype=np.int64)
-        if n > 1:
-            a[:, 1:] = (idx[:, None] // weights[None, :]) % l
-        # row sums of switch_many(m, a): base_i + sum(a) - n * a_i
-        rowsums = (base[None, :] + a.sum(axis=1)[:, None] - n * a) % l
-        for vec in a[np.all(rowsums == 0, axis=1)]:
-            hits.append(switch_many(m, tuple(int(x) for x in vec)))
-    return sorted(set(hits), key=lambda mm: mm.entries)
+    step = l // g
+    inverse = pow(n // g, -1, step)
+    choices = [range((r - sums[0]) // g * inverse % step, l, step) for r in sums[1:]]
+    target = -sums[0] % l
+    hits = [
+        switch_many(m, (0, *rest))
+        for rest in itertools.product(*choices)
+        if sum(rest) % l == target
+    ]
+    return sorted(hits, key=lambda mm: mm.entries)

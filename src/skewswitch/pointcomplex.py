@@ -44,7 +44,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Vertex count plus the lex-sorted list of facets (sorted 1-indexed tuples).
+    """Vertex count plus the lex-sorted list of facets (strictly increasing 1-indexed tuples).
 
     incidence[v - 1] has bit i set when vertex v lies in facets[i]; it is
     derived from the facets and takes no part in comparisons.
@@ -59,6 +59,8 @@ class SimplicialComplex:
         for i, f in enumerate(self.facets):
             if tuple(sorted(f)) != f:
                 raise ValueError(f"facet {f} is not sorted")
+            if len(set(f)) != len(f):
+                raise ValueError(f"facet {f} repeats a vertex")
             if any(not 1 <= v <= self.n for v in f):
                 raise ValueError(f"facet {f} has a vertex outside 1..{self.n}")
             for v in f:

@@ -380,6 +380,35 @@ def run_console_script(name, argv, cwd):
     )
 
 
+# census --modulus 3 --n 4 --list, as listed before numpy left the import path
+CENSUS_3_4_REPRESENTATIVES = [
+    [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+    [[0, 0, 0, 0], [0, 0, 1, 2], [0, 2, 0, 1], [0, 1, 2, 0]],
+    [[0, 0, 1, 2], [0, 0, 1, 2], [2, 2, 0, 2], [1, 1, 1, 0]],
+    [[0, 0, 1, 2], [0, 0, 2, 1], [2, 1, 0, 0], [1, 2, 0, 0]],
+]
+
+
+def test_import_leaves_numpy_unloaded(tmp_path):
+    # a fresh interpreter: this test process has numpy loaded already
+    code = (
+        "import json, sys; import skewswitch.cli, skewswitch; "
+        "print(json.dumps('numpy' in sys.modules)); "
+        "sys.exit(skewswitch.cli.run(['census', '--modulus', '3', '--n', '4', '--list']))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path, env=env
+    )
+    assert proc.returncode == EXIT_YES, proc.stderr
+    loaded, _, listing = proc.stdout.partition("\n")
+    assert json.loads(loaded) is False
+    doc = json.loads(listing)
+    assert doc["eulerian_classes"] == 4
+    assert doc["representatives"] == CENSUS_3_4_REPRESENTATIVES
+
+
 class TestInstalledEntryPoint:
     def test_console_script(self, tmp_path):
         p = write_text(tmp_path / "m.txt", make(2, 4, H.SWITCH_GRAPH_IN))

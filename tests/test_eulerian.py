@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers as H
+import orbit_oracle as O
 from skewswitch import (
+    ORBIT_GUARD,
     NotCoprimeError,
     ResourceGuardError,
     eulerian_in_orbit,
@@ -159,9 +161,32 @@ class TestEulerianInOrbit:
         got = eulerian_in_orbit(H.zero(2, 4))
         assert got == sorted(got, key=lambda x: x.entries)
 
+    def test_coprime_large_orbit_answers_at_once(self):
+        # 10^8 switchings, but gcd(9, 10) = 1 leaves one candidate
+        m = H.zero(10, 9)
+        assert eulerian_in_orbit(m) == [eulerize(m)[0]]
+
     def test_resource_guard(self):
-        with pytest.raises(ResourceGuardError):
-            eulerian_in_orbit(H.zero(10, 9))
+        # gcd(16, 4) = 4 leaves a coset of 4^15 switchings, over the guard
+        assert 4**15 > ORBIT_GUARD
+        with pytest.raises(ResourceGuardError, match=r"4\^15"):
+            eulerian_in_orbit(H.zero(4, 16))
+
+    def test_empty_coset_needs_no_guard(self):
+        # a 4^23 coset would trip the guard, but 24 a_3 = r_3 - r_1 = -1 (mod 4) has no solution
+        m = H.from_edges(4, 24, ((1, 2),))
+        assert row_sum_profile(m).sums[:3] == (1, 3, 0)
+        assert eulerian_in_orbit(m) == []
+
+    def test_coset_matches_orbit_scan(self):
+        # all l^(n-1) switchings against the coset, on random and zero matrices
+        rng = random.Random(2024)
+        for modulus in range(2, 9):
+            for size in range(1, 7):
+                cases = [H.zero(modulus, size)]
+                cases += [H.random_alt(rng, modulus, size) for _ in range(15)]
+                for m in cases:
+                    assert eulerian_in_orbit(m) == O.eulerian_in_orbit_scan(m), m
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(matrices(moduli=(2, 3, 5), max_size=6))

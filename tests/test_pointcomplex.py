@@ -63,6 +63,13 @@ class TestSimplicialComplexValidation:
         with pytest.raises(ValueError):
             SimplicialComplex(3, ((1, 2, 4),))
 
+    def test_repeated_vertex_rejected(self):
+        # (1, 1, 2) is sorted, but it is the edge {1, 2}, not a 2-simplex
+        with pytest.raises(ValueError, match=r"facet \(1, 1, 2\) repeats a vertex"):
+            SimplicialComplex(2, ((1, 1, 2),))
+        with pytest.raises(ValueError, match=r"facet \(2, 2\) repeats a vertex"):
+            SimplicialComplex(3, ((1, 2), (1, 3), (2, 2)))
+
     def test_duplicated_facet_rejected(self):
         with pytest.raises(ValueError, match=r"facet \(1, 2\) is contained in \(1, 2\)"):
             SimplicialComplex(3, ((1, 2), (1, 2), (2, 3)))
