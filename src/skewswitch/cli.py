@@ -367,6 +367,12 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ModuleNotFoundError as exc:
+        # only the two enumerations import numpy, after their guards pass
+        if exc.name != "numpy":
+            raise
+        print(f"error: {args.command} needs numpy, which is not installed", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main() -> None:

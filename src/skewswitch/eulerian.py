@@ -27,7 +27,7 @@ __all__ = [
     "ORBIT_GUARD",
 ]
 
-# bounds the switchings eulerian_in_orbit lists, gcd(n, l)^(n-1) of them
+# bounds the entries of the matrices eulerian_in_orbit returns, n^2 per matrix
 ORBIT_GUARD = 10**7
 
 
@@ -76,6 +76,27 @@ def eulerize(m: AltMatrix) -> tuple[AltMatrix, SwitchExponents]:
     return switch_many(m, a), a
 
 
+def _eulerian_coset(m: AltMatrix) -> tuple[list[range], int, int]:
+    """Choices for a_2..a_n, the target of sum(a) mod l, and the number of hits.
+
+    See eulerian_in_orbit; the choices are empty when there are no hits.
+    """
+    l, n = m.modulus, m.size
+    sums = _row_sums(m)
+    g = gcd(n, l)
+    if any((r - sums[0]) % g for r in sums[1:]):
+        return [], 0, 0
+    step = l // g
+    inverse = pow(n // g, -1, step)
+    starts = [(r - sums[0]) // g * inverse % step for r in sums[1:]]
+    target = -sums[0] % l
+    if (target - sum(starts)) % step:
+        return [], 0, 0
+    # g^(n-2) hits, or one when n = 1 (and so g = 1)
+    hits = g ** (n - 1) // g
+    return [range(start, l, step) for start in starts], target, hits
+
+
 def eulerian_in_orbit(m: AltMatrix) -> list[AltMatrix]:
     """All modular Eulerian matrices among the pure switchings of m.
 
@@ -87,27 +108,28 @@ def eulerian_in_orbit(m: AltMatrix) -> list[AltMatrix]:
         n a_i = r_i - r_1 (mod l) for i >= 2,   and   sum(a) = -r_1 (mod l).
 
     With g = gcd(n, l), each a_i has g solutions, spaced l/g apart, when g
-    divides r_i - r_1 and none otherwise.  That coset of g^(n-1) candidates
-    is listed and filtered on sum(a); ORBIT_GUARD bounds its size.  The
-    hits are sorted lexicographically by entries.
+    divides r_i - r_1 and none otherwise.  That coset holds g^(n-1)
+    candidates a_i = b_i + k_i l/g with 0 <= k_i < g, and
+    sum(a) = sum(b) + (l/g) sum(k).  So the sum condition needs l/g to
+    divide -r_1 - sum(b), and then it fixes sum(k) mod g: any k_2..k_{n-1}
+    with one k_n each.  The hits number either 0 or g^(n-2), known before
+    anything is listed.  ORBIT_GUARD bounds the hits times their n^2
+    entries; since g <= n, that also bounds the candidates, which are g
+    times the hits.  The hits are sorted lexicographically by entries.
     """
-    l, n = m.modulus, m.size
-    sums = _row_sums(m)
-    g = gcd(n, l)
-    if any((r - sums[0]) % g for r in sums[1:]):
+    n = m.size
+    choices, target, hits = _eulerian_coset(m)
+    if not hits:
         return []
-    total = g ** (n - 1)
-    if total > ORBIT_GUARD:
+    if hits * n * n > ORBIT_GUARD:
+        g = gcd(n, m.modulus)
         raise ResourceGuardError(
-            f"switching coset of size {g}^{n - 1} = {total} exceeds the guard {ORBIT_GUARD}"
+            f"switching coset of size {g}^{n - 1} = {g ** (n - 1)} holds {hits} Eulerian "
+            f"matrices of {n}x{n} entries, over the guard {ORBIT_GUARD}"
         )
-    step = l // g
-    inverse = pow(n // g, -1, step)
-    choices = [range((r - sums[0]) // g * inverse % step, l, step) for r in sums[1:]]
-    target = -sums[0] % l
-    hits = [
+    found = [
         switch_many(m, (0, *rest))
         for rest in itertools.product(*choices)
-        if sum(rest) % l == target
+        if sum(rest) % m.modulus == target
     ]
-    return sorted(hits, key=lambda mm: mm.entries)
+    return sorted(found, key=lambda mm: mm.entries)

@@ -4,20 +4,32 @@ A matrix M determines a quadratic exponent pattern; switching at a vertex v
 subtracts 1 across row v and adds 1 down column v (mod l).  Two matrices
 are called switching equivalent when one is reachable from the other by
 switchings followed by a relabeling of the vertices.  The triple sums
-m_ij + m_jh + m_hi are a complete invariant for pure switching; the
-equivalence decision uses them only as a quick necessary check.
+m_ij + m_jh + m_hi are a complete invariant for pure switching.
 
 Isolating a vertex (the unique pure switching that clears its row and
 column) reduces switching to relabeling: M and M' are equivalent exactly
 when isolate(M, 1) is isomorphic to isolate(M', v) for some v.  So
 `isomorphic` is the one search here, and both canonical forms come from
 one least-relabeling search.
+
+The equivalence decision prunes that search with vertex profiles.  The
+profile P_v(M) counts the entries of isolate(M, v) in each folded class
+min(t, l - t); off row and column v those entries are the triple sums
+through v, each pair {j, h} once as t and once as -t.  A pure switching
+leaves every isolation unchanged, and relabeling by sigma carries
+isolate(M, v) to a relabeling of isolate(M', sigma(v)), which has the same
+entries.  So equivalent matrices have the same profiles up to order (a
+pre-check), and isolate(M, 1) can be isomorphic to isolate(M', v) only if
+P_1(M) = P_v(M') (a filter on v).  Summed over v, the profiles give the
+folded triple-sum multiset, so the pre-check is at least as strong as
+comparing those multisets.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -175,10 +187,75 @@ def triple_tensor(m: AltMatrix) -> TripleTensor:
     return TripleTensor(l, m.size, values)
 
 
-def _folded_triple_multiset(m: AltMatrix) -> tuple[int, ...]:
-    # min(t, l - t) is unchanged by relabeling (which can only negate t)
-    l = m.modulus
-    return tuple(sorted(min(v, (l - v) % l) for v in triple_tensor(m).values))
+# Profiles are tuples of (class, count) pairs in class order, zero counts
+# left out.  Up to this modulus the kernel codes e_jh - e_vh + l in a byte.
+_BYTE_KERNEL_MAX_MODULUS = 128
+
+
+@lru_cache(maxsize=16)
+def _fold_tables(l: int) -> tuple[bytes, ...]:
+    # tables[k] sends the byte d + l, for -l < d < l, to the class of k + d
+    tables = []
+    for k in range(l):
+        table = bytearray(256)
+        for b in range(1, 2 * l):
+            t = (k + b - l) % l
+            table[b] = min(t, l - t)
+        tables.append(bytes(table))
+    return tuple(tables)
+
+
+def _vertex_profiles(m: AltMatrix) -> list[tuple[tuple[int, int], ...]]:
+    """P_v(m) for v = 1..n: the folded class counts of isolate(m, v).
+
+    Entry (j, h) of isolate(m, v) is e_vj + e_jh - e_vh, and entry (h, j)
+    is its negative, so counting the pairs j < h and doubling, plus the n
+    diagonal zeros, gives the profile.  Rows are read as little-endian
+    integers X_j; with L the integer whose n bytes all equal l, X_j + L - X_v
+    holds the bytes e_jh - e_vh + l without carries, and one translate per
+    row maps them to classes: about n^3 / 2 byte operations per matrix, all
+    in C.  Above _BYTE_KERNEL_MAX_MODULUS the codes do not fit a byte, and one
+    pass over the triples adds each folded sum to its three vertices.
+    """
+    l, n, e = m.modulus, m.size, m.entries
+    if l > _BYTE_KERNEL_MAX_MODULUS:
+        return _vertex_profiles_by_triples(m)
+    tables = _fold_tables(l)
+    rows = [int.from_bytes(bytes(row), "little") for row in e]
+    shift = int.from_bytes(bytes([l]) * n, "little")
+    classes = range(l // 2 + 1)
+    profiles = []
+    for v in range(n):
+        base, ev = rows[v] - shift, e[v]
+        pairs = b"".join(
+            [
+                (rows[j] - base).to_bytes(n, "little")[j + 1 :].translate(tables[ev[j]])
+                for j in range(n - 1)
+            ]
+        )
+        counts = [2 * pairs.count(c) for c in classes]
+        counts[0] += n
+        profiles.append(tuple([(c, k) for c, k in zip(classes, counts) if k]))
+    return profiles
+
+
+def _vertex_profiles_by_triples(m: AltMatrix) -> list[tuple[tuple[int, int], ...]]:
+    # row and column v and the diagonal hold 3n - 2 zeros; every other pair
+    # {j, h} appears twice, as the triple sum through v and its negative
+    l, n, e = m.modulus, m.size, m.entries
+    counts = [{0: 3 * n - 2} for _ in range(n)]
+    for i in range(n):
+        ei, ci = e[i], counts[i]
+        for j in range(i + 1, n):
+            ej, cj, s = e[j], counts[j], ei[j]
+            # e_hi = -e_ih, so the triple sum (i, j, h) is e_ij + e_jh - e_ih
+            for x, y, ch in zip(ej[j + 1 :], ei[j + 1 :], counts[j + 1 :]):
+                t = (s + x - y) % l
+                t = min(t, l - t)
+                ci[t] = ci.get(t, 0) + 2
+                cj[t] = cj.get(t, 0) + 2
+                ch[t] = ch.get(t, 0) + 2
+    return [tuple(sorted(c.items())) for c in counts]
 
 
 def switching_equivalent(m: AltMatrix, mp: AltMatrix) -> EquivWitness | None:
@@ -187,17 +264,24 @@ def switching_equivalent(m: AltMatrix, mp: AltMatrix) -> EquivWitness | None:
     Every matrix differs from its isolation at vertex 1 by a pure switching,
     and isolating commutes with relabeling, so m and mp are equivalent
     exactly when isolate(m, 1) is isomorphic to isolate(mp, v) for some v.
-    If a and b are the two isolations' exponents and sigma the isomorphism,
-    the witness exponents are c_i = a_i - b_sigma(i), shifted so c_1 = 0.
-    The witness is verified before it is returned.
+    Vertex profiles (see the module docstring) reject most inequivalent
+    pairs at once and skip every v whose isolation has other entries than
+    isolate(m, 1), so the first witness is the one the search over all v
+    would find.  If a and b are the two isolations' exponents and sigma the
+    isomorphism, the witness exponents are c_i = a_i - b_sigma(i), shifted
+    so c_1 = 0.  The witness is verified before it is returned.
     """
     _check_compatible(m, mp)
-    if _folded_triple_multiset(m) != _folded_triple_multiset(mp):
+    profiles, target = _vertex_profiles(m), _vertex_profiles(mp)
+    if sorted(profiles) != sorted(target):
         return None
     l, n = m.modulus, m.size
     a = _isolating_exponents(m, 1)
     base = switch_many(m, a)
     for v in range(1, n + 1):
+        if target[v - 1] != profiles[0]:
+            # isomorphic isolations have the same entries, so no witness here
+            continue
         b = _isolating_exponents(mp, v)
         # the witness check below covers the isomorphism, so the search runs unchecked
         sigma = _isomorphism(base, switch_many(mp, b))

@@ -409,6 +409,34 @@ def test_import_leaves_numpy_unloaded(tmp_path):
     assert doc["representatives"] == CENSUS_3_4_REPRESENTATIVES
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["census", "--modulus", "3", "--n", "4", "--list"], EXIT_USAGE),
+        (["census", "--modulus", "2", "--n", "4", "--brute-force"], EXIT_USAGE),
+        # guards come before the import
+        (["census", "--modulus", "3", "--n", "7", "--list"], EXIT_GUARD),
+        (["census", "--modulus", "2", "--n", "7", "--brute-force"], EXIT_GUARD),
+        (["census", "--modulus", "3", "--n", "5"], EXIT_YES),
+    ],
+)
+def test_enumerations_without_numpy_refuse(tmp_path, argv, code):
+    # a fresh interpreter in which importing numpy fails, as where it is not installed
+    program = (
+        "import sys; sys.modules['numpy'] = None; import skewswitch.cli; "
+        f"sys.exit(skewswitch.cli.run({argv!r}))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", program], capture_output=True, text=True, cwd=tmp_path, env=env
+    )
+    assert proc.returncode == code, proc.stderr
+    if code == EXIT_USAGE:
+        assert proc.stderr.splitlines() == ["error: census needs numpy, which is not installed"]
+        assert proc.stdout == ""
+
+
 class TestInstalledEntryPoint:
     def test_console_script(self, tmp_path):
         p = write_text(tmp_path / "m.txt", make(2, 4, H.SWITCH_GRAPH_IN))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,7 @@ from skewswitch import (
     switch_many,
     switching_equivalent,
 )
+from skewswitch import eulerian
 
 
 @st.composite
@@ -179,14 +182,39 @@ class TestEulerianInOrbit:
         assert eulerian_in_orbit(m) == []
 
     def test_coset_matches_orbit_scan(self):
-        # all l^(n-1) switchings against the coset, on random and zero matrices
+        # all l^(n-1) switchings against the coset, on random and zero matrices;
+        # the hit count predicted before listing is 0 or gcd(n, l)^(n-2)
         rng = random.Random(2024)
         for modulus in range(2, 9):
             for size in range(1, 7):
                 cases = [H.zero(modulus, size)]
                 cases += [H.random_alt(rng, modulus, size) for _ in range(15)]
                 for m in cases:
-                    assert eulerian_in_orbit(m) == O.eulerian_in_orbit_scan(m), m
+                    got = eulerian_in_orbit(m)
+                    assert got == O.eulerian_in_orbit_scan(m), m
+                    hits = eulerian._eulerian_coset(m)[2]
+                    assert hits == len(got), m
+                    assert hits in (0, math.gcd(size, modulus) ** max(size - 2, 0)), m
+
+    def test_output_guard_refuses_at_once(self, monkeypatch):
+        # 2^23 candidates, 2^22 hits of 24x24 entries: about 2.4e9 entries.
+        # The guard must fire before any switching is built; a build fails
+        # here at once rather than filling memory.
+        def no_build(*args):
+            raise AssertionError("listing started before the guard")
+
+        monkeypatch.setattr(eulerian, "switch_many", no_build)
+        start = time.perf_counter()
+        with pytest.raises(ResourceGuardError, match=r"2\^23 .* holds 4194304 Eulerian matrices"):
+            eulerian_in_orbit(H.zero(2, 24))
+        assert time.perf_counter() - start < 1.0
+
+    def test_output_guard_admits_zero_two_sixteen(self):
+        # 2^14 hits of 16x16 entries, about 4.2e6, under the guard
+        assert 2**14 * 16 * 16 <= ORBIT_GUARD
+        got = eulerian_in_orbit(H.zero(2, 16))
+        assert len(got) == 16384
+        assert all(is_modular_eulerian(e) for e in got[:: 1024])
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(matrices(moduli=(2, 3, 5), max_size=6))

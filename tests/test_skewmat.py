@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations, permutations, product
 
 import pytest
@@ -353,7 +354,7 @@ class TestTripleRouteOracle:
                 m = H.random_alt(rng, modulus, size)
                 a = tuple(rng.randrange(modulus) for _ in range(size))
                 yes = relabel(switch_many(m, a), H.random_permutation(rng, size))
-                # the converse -M always passes the folded triple-sum pre-check
+                # the converse -M always passes the profile pre-check
                 converse = make(modulus, size, [[-x for x in row] for row in yes.entries])
                 pairs = [yes, converse]
                 if size >= 2:
@@ -378,6 +379,100 @@ class TestTripleRouteOracle:
         monkeypatch.setattr(skewmat, "verify_witness", lambda *args: False)
         with pytest.raises(RuntimeError):
             switching_equivalent(m, switch(m, 2))
+
+
+def _perturbed_pairs(rng, m):
+    """A switched, relabeled copy of m, its converse, and a one-entry perturbation."""
+    modulus, size = m.modulus, m.size
+    a = tuple(rng.randrange(modulus) for _ in range(size))
+    yes = relabel(switch_many(m, a), H.random_permutation(rng, size))
+    pairs = [yes, make(modulus, size, [[-x for x in row] for row in yes.entries])]
+    if size >= 2:
+        i, j = rng.sample(range(size), 2)
+        grid = [list(row) for row in yes.entries]
+        grid[i][j] += rng.randrange(1, modulus)
+        grid[j][i] = -grid[i][j]
+        pairs.append(make(modulus, size, grid))
+    return pairs
+
+
+def _profile_by_definition(m, v):
+    l = m.modulus
+    folded = Counter(min(x, l - x) for row in isolate(m, v).entries for x in row)
+    return tuple(sorted(folded.items()))
+
+
+class TestVertexProfiles:
+    """Per-vertex triple profiles: the pre-check and filter of switching_equivalent."""
+
+    @pytest.mark.parametrize("modulus", [*range(2, 21), 127, 128, 129, 131])
+    def test_profiles_are_folded_isolation_counts(self, modulus):
+        # moduli up to 128 take the byte kernel, larger ones the triple pass
+        rng = random.Random(700 + modulus)
+        for size in range(1, 9):
+            for m in [H.zero(modulus, size)] + [H.random_alt(rng, modulus, size) for _ in range(3)]:
+                want = [_profile_by_definition(m, v) for v in range(1, size + 1)]
+                assert skewmat._vertex_profiles(m) == want, m
+                assert skewmat._vertex_profiles_by_triples(m) == want, m
+
+    @pytest.mark.parametrize("modulus", [*range(2, 8), 17, 131])
+    def test_witness_identical_to_unfiltered_search(self, modulus):
+        # the search before profiles: folded triple multiset, then every isolation
+        rng = random.Random(1100 + modulus)
+        max_size = 8 if modulus <= 7 else 6
+        for size in range(1, max_size + 1):
+            for _ in range(6):
+                m = H.random_alt(rng, modulus, size)
+                for target in _perturbed_pairs(rng, m):
+                    assert switching_equivalent(m, target) == T.switching_equivalent_unfiltered(m, target)
+
+    def _count_searches(self, monkeypatch):
+        calls = []
+        search = skewmat._isomorphism
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(skewmat, "_isomorphism", counted)
+        return calls
+
+    def test_distinct_profiles_search_once(self, monkeypatch):
+        rng = random.Random(21)
+        m = H.random_alt(rng, 5, 24)
+        profiles = skewmat._vertex_profiles(m)
+        assert len(set(profiles)) == 24
+        target = relabel(switch_many(m, [rng.randrange(5) for _ in range(24)]), H.random_permutation(rng, 24))
+        calls = self._count_searches(monkeypatch)
+        w = switching_equivalent(m, target)
+        assert w is not None and verify_witness(m, target, w)
+        assert len(calls) == 1
+
+    def test_vertex_transitive_pair_still_verifies(self, monkeypatch):
+        # every vertex of the Paley tournament has the same profile, so none is skipped
+        rng = random.Random(19)
+        m = H.paley(19, 3)
+        assert len(set(skewmat._vertex_profiles(m))) == 1
+        target = relabel(switch_many(m, [rng.randrange(3) for _ in range(19)]), H.random_permutation(rng, 19))
+        calls = self._count_searches(monkeypatch)
+        w = switching_equivalent(m, target)
+        assert w is not None and verify_witness(m, target, w)
+        assert w == T.switching_equivalent_unfiltered(m, target)
+        assert len(calls) >= 1
+
+    def test_profiles_sum_to_the_folded_triple_multiset(self):
+        # so the profile pre-check rejects every pair the multiset pre-check rejected
+        rng = random.Random(31)
+        for modulus in (2, 3, 5, 131):
+            for size in range(3, 8):
+                m = H.random_alt(rng, modulus, size)
+                total = Counter()
+                for profile in skewmat._vertex_profiles(m):
+                    total.update(dict(profile))
+                folded = Counter(T.folded_triple_multiset(m))
+                # each triple appears in three profiles, twice each; the rest are zeros
+                zeros = size * (3 * size - 2)
+                assert total - Counter({0: zeros}) == Counter({t: 6 * k for t, k in folded.items()})
 
 
 class TestIsomorphic:

@@ -6,20 +6,59 @@ determined triple sum m_ij + m_jh + m_hi agrees with the target, and the
 class form is the least triple tensor over all n! relabelings.  Triple sums
 are a complete invariant for pure switching, so both routes are exact and
 check the isolation route independently.
+
+`switching_equivalent_unfiltered` is the isolation decision as it stood
+before vertex profiles: the folded triple-sum multiset as its pre-check,
+then every isolation v = 1..n tried in order.  The library must return
+exactly its witness.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from skewswitch import AltMatrix, EquivWitness, TripleTensor, relabel
-from skewswitch.skewmat import _check_compatible, _folded_triple_multiset
+from skewswitch import (
+    AltMatrix,
+    EquivWitness,
+    TripleTensor,
+    relabel,
+    switch_many,
+    triple_tensor,
+    verify_witness,
+)
+from skewswitch.skewmat import _check_compatible, _isolating_exponents, _isomorphism
 
 from helpers import difference, potential_witness
 
 
 def _triple_value(e, l, i, j, h):
     return (e[i][j] + e[j][h] + e[h][i]) % l
+
+
+def folded_triple_multiset(m: AltMatrix) -> tuple[int, ...]:
+    """Sorted min(t, l - t) over all triple sums t; relabeling can only negate t."""
+    l = m.modulus
+    return tuple(sorted(min(v, (l - v) % l) for v in triple_tensor(m).values))
+
+
+def switching_equivalent_unfiltered(m: AltMatrix, mp: AltMatrix) -> EquivWitness | None:
+    """First witness of isolate(m, 1) against isolate(mp, v), v = 1..n, or None."""
+    _check_compatible(m, mp)
+    if folded_triple_multiset(m) != folded_triple_multiset(mp):
+        return None
+    l, n = m.modulus, m.size
+    a = _isolating_exponents(m, 1)
+    base = switch_many(m, a)
+    for v in range(1, n + 1):
+        b = _isolating_exponents(mp, v)
+        sigma = _isomorphism(base, switch_many(mp, b))
+        if sigma is None:
+            continue
+        c = [a[i] - b[sigma[i] - 1] for i in range(n)]
+        witness = EquivWitness(sigma, tuple([(x - c[0]) % l for x in c]))
+        assert verify_witness(m, mp, witness)
+        return witness
+    return None
 
 
 def _inverse(sigma):
@@ -39,7 +78,7 @@ def switching_equivalent(m: AltMatrix, mp: AltMatrix) -> EquivWitness | None:
     """
     _check_compatible(m, mp)
     l, n = m.modulus, m.size
-    if _folded_triple_multiset(m) != _folded_triple_multiset(mp):
+    if folded_triple_multiset(m) != folded_triple_multiset(mp):
         return None
     me, pe = m.entries, mp.entries
     image = [0] * n
