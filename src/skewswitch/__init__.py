@@ -9,7 +9,6 @@ equivalence classes exactly.
 from .algfrontend import (
     ClassificationReport,
     SkewAlgebraSpec,
-    central_variable_form,
     classify_pair,
     grmod_witness_as_lambdas,
 )
@@ -37,22 +36,16 @@ from .eulerian import (
 )
 from .modlinalg import IntMatrix, SnfResult, count_solutions_mod, smith_normal_form
 from .pointcomplex import (
-    ComponentDescriptor,
     SimplicialComplex,
     complexes_isomorphic,
     dimension,
     facets,
-    facets_via_isolations,
-    independence_number,
-    is_face,
-    variety_components,
 )
 from .skewmat import (
     AltMatrix,
     EquivWitness,
     Permutation,
     SwitchExponents,
-    TripleTensor,
     canonical_class_form,
     canonical_iso_form,
     isolate,
@@ -62,7 +55,6 @@ from .skewmat import (
     switch,
     switch_many,
     switching_equivalent,
-    triple_tensor,
     verify_witness,
 )
 
@@ -74,7 +66,6 @@ __all__ = [
     "COUNT_GUARD",
     "CensusResult",
     "ClassificationReport",
-    "ComponentDescriptor",
     "CycleType",
     "EULERIAN_ENUM_GUARD",
     "EquivWitness",
@@ -89,11 +80,9 @@ __all__ = [
     "SkewAlgebraSpec",
     "SnfResult",
     "SwitchExponents",
-    "TripleTensor",
     "brute_force_census",
     "canonical_class_form",
     "canonical_iso_form",
-    "central_variable_form",
     "classify_pair",
     "complexes_isomorphic",
     "count_eulerian_classes",
@@ -105,10 +94,7 @@ __all__ = [
     "eulerian_in_orbit",
     "eulerize",
     "facets",
-    "facets_via_isolations",
     "grmod_witness_as_lambdas",
-    "independence_number",
-    "is_face",
     "is_modular_eulerian",
     "isolate",
     "isomorphic",
@@ -119,7 +105,5 @@ __all__ = [
     "switch",
     "switch_many",
     "switching_equivalent",
-    "triple_tensor",
-    "variety_components",
     "verify_witness",
 ]

@@ -14,21 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pointcomplex import SimplicialComplex, complexes_isomorphic, dimension, facets
-from .skewmat import (
-    AltMatrix,
-    EquivWitness,
-    Permutation,
-    isolate,
-    isomorphic,
-    switching_equivalent,
-)
+from .skewmat import AltMatrix, EquivWitness, Permutation, isomorphic, switching_equivalent
 
 __all__ = [
     "SkewAlgebraSpec",
     "ClassificationReport",
     "classify_pair",
     "grmod_witness_as_lambdas",
-    "central_variable_form",
 ]
 
 
@@ -120,8 +112,3 @@ def grmod_witness_as_lambdas(w: EquivWitness, modulus: int) -> list[tuple[int, i
     back through the switching map reproduces the target matrix.
     """
     return [(i + 1, a % modulus) for i, a in enumerate(w.exponents)]
-
-
-def central_variable_form(a: SkewAlgebraSpec, i: int) -> SkewAlgebraSpec:
-    """An equivalent presentation in which variable i commutes with all others."""
-    return SkewAlgebraSpec(isolate(a.matrix, i))

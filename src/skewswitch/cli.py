@@ -26,13 +26,7 @@ from .census import (
 )
 from .errors import ResourceGuardError
 from .eulerian import eulerize, row_sum_profile
-from .pointcomplex import (
-    complexes_isomorphic,
-    dimension,
-    facets,
-    facets_via_isolations,
-    variety_components,
-)
+from .pointcomplex import complexes_isomorphic, dimension, facets
 from .skewmat import AltMatrix, isolate, isomorphic, make, switch, switching_equivalent
 
 __all__ = ["run", "main"]
@@ -172,17 +166,15 @@ def _cmd_complex(args: argparse.Namespace) -> int:
     if args.emit_dot:
         print(_dot_digraph(m))
         return EXIT_YES
-    cx = facets_via_isolations(m) if args.via == "isolations" else facets(m)
+    cx = facets(m)
     doc = {
         "size": cx.n,
         "facets": [list(f) for f in cx.facets],
         "dimension": dimension(cx),
     }
     if args.components:
-        doc["components"] = [
-            {"support": list(c.support), "projective_dimension": c.projective_dimension}
-            for c in variety_components(cx)
-        ]
+        # one linear component of the point variety per facet F, of projective dimension |F| - 1
+        doc["components"] = [{"support": list(f), "projective_dimension": len(f) - 1} for f in cx.facets]
     _emit(doc)
     return EXIT_YES
 
@@ -313,7 +305,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("complex", help="point complex of a matrix")
     p.add_argument("file")
-    p.add_argument("--via", choices=["direct", "isolations"], default="direct")
+    p.add_argument(
+        "--via",
+        choices=["direct", "isolations"],
+        default="direct",
+        help="accepted for old scripts; both values run the one facet search",
+    )
     p.add_argument("--components", action="store_true", help="list variety components")
     p.add_argument("--emit-dot", action="store_true", help="print the digraph in dot format")
     p.set_defaults(handler=_cmd_complex)

@@ -12,33 +12,27 @@ face s carries ext(s), the mask of vertices that extend it, and
 because s + w + u is a face exactly when s + w and s + u are and every
 triple (x, w, u) with x in s sums to zero.  Faces grow in increasing
 vertex order, so each is visited once, and s is a facet when ext(s) is
-empty.  The same grower finds maximal independent sets when zero[x][w] is
-the zero-pair mask of w for every x.  That gives the isolations route:
-the maximal all-zero principal submatrices of the isolations
-isolate(M, v), collected over v, have the facets as their maximal members.
+empty.
 
 A complex keeps one facet-incidence mask per vertex (bit i set when the
 vertex lies in facet i).  Validation reads containment off them, and
 isomorphism reads vertex profiles and co-degrees off them as popcounts.
+Complex isomorphism runs the relabeling search of skewmat on the two
+co-degree tables, with one extra check at its leaves: the bijection must
+carry the facet set onto the facet set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
-from .skewmat import AltMatrix, Permutation, isolate
+from .skewmat import AltMatrix, Permutation, _extend_isomorphism
 
 __all__ = [
     "SimplicialComplex",
-    "ComponentDescriptor",
-    "is_face",
     "facets",
     "dimension",
     "complexes_isomorphic",
-    "facets_via_isolations",
-    "independence_number",
-    "variety_components",
 ]
 
 
@@ -82,38 +76,9 @@ class SimplicialComplex:
         object.__setattr__(self, "incidence", tuple(incidence))
 
 
-@dataclass(frozen=True)
-class ComponentDescriptor:
-    """A linear component of the point variety: its support and projective dimension."""
-
-    support: tuple[int, ...]
-    projective_dimension: int
-
-
-def _triple_zero(e, l: int, i: int, j: int, h: int) -> bool:
-    # zero cyclic sum does not depend on the orientation of (i, j, h)
-    return (e[i][j] + e[j][h] + e[h][i]) % l == 0
-
-
-def is_face(m: AltMatrix, f: Iterable[int]) -> bool:
-    """True when every 3-subset of f has zero triple sum (sets of size <= 2 always do)."""
-    vs = sorted(set(f))
-    for v in vs:
-        if not 1 <= v <= m.size:
-            raise ValueError(f"vertex {v} out of range 1..{m.size}")
-    e, l = m.entries, m.modulus
-    k = [v - 1 for v in vs]
-    for x in range(len(k)):
-        for y in range(x + 1, len(k)):
-            for z in range(y + 1, len(k)):
-                if not _triple_zero(e, l, k[x], k[y], k[z]):
-                    return False
-    return True
-
-
-# The searches recurse through module-level functions rather than nested
-# ones: a nested function that calls itself is a reference cycle, which
-# keeps its data alive until the next full garbage collection.
+# The face search recurses through a module-level function rather than a
+# nested one: a nested function that calls itself is a reference cycle,
+# which keeps its data alive until the next full garbage collection.
 
 
 def _grow(zero: list[list[int]], out: list[tuple[int, ...]], s: tuple[int, ...], ext: int, start: int) -> None:
@@ -213,55 +178,11 @@ def complexes_isomorphic(c: SimplicialComplex, cp: SimplicialComplex) -> Permuta
     if sorted(prof) != sorted(prof_p):
         return None
 
-    candidates = [[cand for cand in range(1, n + 1) if prof_p[cand - 1] == pk] for pk in prof]
-    return _extend_bijection(c, candidates, _codegrees(c), _codegrees(cp), set(cp.facets), [])
+    # 0-indexed: candidates[u] lists the vertices of cp whose profile is that of u
+    candidates = [[cand for cand in range(n) if prof_p[cand] == pk] for pk in prof]
+    target = set(cp.facets)
 
+    def maps_facets_onto_facets(sigma: Permutation) -> bool:
+        return {tuple(sorted([sigma[v - 1] for v in f])) for f in c.facets} == target
 
-def _extend_bijection(c, candidates, codeg, codeg_p, target, image: list[int]) -> Permutation | None:
-    k = len(image)
-    if k == c.n:
-        mapped = {tuple(sorted([image[v - 1] for v in f])) for f in c.facets}
-        return tuple(image) if mapped == target else None
-    row = codeg[k]
-    for cand in candidates[k]:
-        if cand in image:
-            continue
-        row_p = codeg_p[cand - 1]
-        if any(row[i] != row_p[image[i] - 1] for i in range(k)):
-            continue
-        image.append(cand)
-        sigma = _extend_bijection(c, candidates, codeg, codeg_p, target, image)
-        if sigma is not None:
-            return sigma
-        image.pop()
-    return None
-
-
-def _maximal_independent_sets(m: AltMatrix) -> list[tuple[int, ...]]:
-    # an independent set grows by w onto the vertices u with e_wu = 0, whatever the set
-    zero_pairs = [sum([1 << u for u, a in enumerate(row) if a == 0]) for row in m.entries]
-    return _maximal_sets([zero_pairs] * m.size)
-
-
-def facets_via_isolations(m: AltMatrix) -> SimplicialComplex:
-    """Facets assembled from maximal independent sets of every isolation.
-
-    Agrees with facets(m): a face containing u is independent in
-    isolate(m, u), and every independent set of an isolation is a face.
-    """
-    collected: dict[int, tuple[int, ...]] = {}
-    for v in range(1, m.size + 1):
-        for s in _maximal_independent_sets(isolate(m, v)):
-            collected[sum([1 << x for x in s])] = s
-    maximal = [s for ms, s in collected.items() if not any(ms != mt and ms & ~mt == 0 for mt in collected)]
-    return _complex(m.size, maximal)
-
-
-def independence_number(m: AltMatrix) -> int:
-    """Size of the largest vertex set supporting an all-zero principal submatrix."""
-    return max(len(s) for s in _maximal_independent_sets(m))
-
-
-def variety_components(c: SimplicialComplex) -> list[ComponentDescriptor]:
-    """One linear component per facet; its projective dimension is |F| - 1."""
-    return [ComponentDescriptor(f, len(f) - 1) for f in c.facets]
+    return _extend_isomorphism(_codegrees(c), _codegrees(cp), candidates, [], set(), maps_facets_onto_facets)

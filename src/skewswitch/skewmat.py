@@ -10,7 +10,10 @@ Isolating a vertex (the unique pure switching that clears its row and
 column) reduces switching to relabeling: M and M' are equivalent exactly
 when isolate(M, 1) is isomorphic to isolate(M', v) for some v.  So
 `isomorphic` is the one search here, and both canonical forms come from
-one least-relabeling search.
+one least-relabeling search.  The same backtracker also compares point
+complexes (pointcomplex.complexes_isomorphic): it runs on their co-degree
+tables, and a leaf check accepts a bijection only when it carries facets
+onto facets.
 
 The equivalence decision prunes that search with vertex profiles.  The
 profile P_v(M) counts the entries of isolate(M, v) in each folded class
@@ -27,20 +30,17 @@ comparing those multisets.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 __all__ = [
     "AltMatrix",
-    "TripleTensor",
     "EquivWitness",
     "make",
     "switch",
     "switch_many",
     "relabel",
-    "triple_tensor",
     "switching_equivalent",
     "isomorphic",
     "canonical_class_form",
@@ -69,15 +69,6 @@ class AltMatrix:
 
     def __post_init__(self) -> None:
         _check_entries(self.modulus, self.size, self.entries)
-
-
-@dataclass(frozen=True)
-class TripleTensor:
-    """All triple sums m_ij + m_jh + m_hi (mod l), for i < j < h in lex order."""
-
-    modulus: int
-    size: int
-    values: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -175,16 +166,6 @@ def relabel(m: AltMatrix, sigma: Sequence[int]) -> AltMatrix:
         inv[s - 1] = i
     rows = [m.entries[i] for i in inv]
     return AltMatrix(m.modulus, m.size, tuple([tuple([row[j] for j in inv]) for row in rows]))
-
-
-def triple_tensor(m: AltMatrix) -> TripleTensor:
-    """Triple sums t_ijh = m_ij + m_jh + m_hi (mod l) for i < j < h."""
-    l, e = m.modulus, m.entries
-    values = tuple(
-        (e[i][j] + e[j][h] + e[h][i]) % l
-        for i, j, h in itertools.combinations(range(m.size), 3)
-    )
-    return TripleTensor(l, m.size, values)
 
 
 # Profiles are tuples of (class, count) pairs in class order, zero counts
@@ -326,16 +307,23 @@ def _isomorphism(m: AltMatrix, mp: AltMatrix) -> Permutation | None:
 # keeps its matrices alive until the next full garbage collection.
 
 
-def _extend_isomorphism(me, pe, candidates, image: list[int], used: set[int]) -> Permutation | None:
+def _extend_isomorphism(me, pe, candidates, image: list[int], used: set[int], accept=None) -> Permutation | None:
+    """First bijection, in lex order, with pe[image[i]][image[j]] == me[i][j] for all i < j.
+
+    candidates[k] lists the 0-indexed images allowed for vertex k + 1.  A
+    full bijection is returned, 1-indexed, when accept is None or
+    accept(sigma) holds; otherwise the search goes on.
+    """
     k = len(image)
     if k == len(me):
-        return tuple([c + 1 for c in image])
+        sigma = tuple([c + 1 for c in image])
+        return sigma if accept is None or accept(sigma) else None
     for c in candidates[k]:
         if c in used or any(pe[image[i]][c] != me[i][k] for i in range(k)):
             continue
         image.append(c)
         used.add(c)
-        sigma = _extend_isomorphism(me, pe, candidates, image, used)
+        sigma = _extend_isomorphism(me, pe, candidates, image, used, accept)
         if sigma is not None:
             return sigma
         image.pop()

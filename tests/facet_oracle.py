@@ -6,11 +6,19 @@ re-checks every triple (or pair) of the face with w on each call, and
 compare complexes by counting shared facets with a scan of the facet list
 per vertex pair.  They visit sets and candidates in the same order as the
 library, so they must return the same facets and the same (lex-first)
-vertex bijection.
+vertex bijection.  `is_face` checks a single set by its triples.
+
+The isolations route is a second way to the same facets.  A face
+containing u is an independent set of isolate(M, u) (a vertex set whose
+principal submatrix is zero), and every independent set of an isolation
+is a face.  So the maximal independent sets of the isolations, collected
+over every vertex, have the facets as their maximal members, and the
+largest independent set of an isolation has dimension + 1 vertices.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Callable
 
 from skewswitch import AltMatrix, SimplicialComplex, isolate
@@ -42,6 +50,16 @@ def _grow(n: int, can_extend, out: list[tuple[int, ...]], s: tuple[int, ...], st
 
 def _triple_zero(e, l: int, i: int, j: int, h: int) -> bool:
     return (e[i][j] + e[j][h] + e[h][i]) % l == 0
+
+
+def is_face(m: AltMatrix, f) -> bool:
+    """True when every 3-subset of f has zero triple sum (sets of size <= 2 always do)."""
+    vs = sorted(set(f))
+    for v in vs:
+        if not 1 <= v <= m.size:
+            raise ValueError(f"vertex {v} out of range 1..{m.size}")
+    e, l = m.entries, m.modulus
+    return all(_triple_zero(e, l, i - 1, j - 1, h - 1) for i, j, h in combinations(vs, 3))
 
 
 def _complex(n: int, found) -> SimplicialComplex:

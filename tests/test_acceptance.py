@@ -13,6 +13,7 @@ from itertools import combinations
 
 import facet_oracle as FO
 import helpers as H
+from triple_route import triple_tensor
 from skewswitch import (
     SimplicialComplex,
     SkewAlgebraSpec,
@@ -26,8 +27,6 @@ from skewswitch import (
     eulerian_in_orbit,
     eulerize,
     facets,
-    facets_via_isolations,
-    independence_number,
     isolate,
     isomorphic,
     make,
@@ -36,7 +35,6 @@ from skewswitch import (
     switch,
     switch_many,
     switching_equivalent,
-    triple_tensor,
     verify_witness,
 )
 from skewswitch.cli import EXIT_NO, EXIT_YES, run
@@ -212,17 +210,17 @@ def test_criterion_08_property_suites():
         a = tuple(rng.randrange(m.modulus) for _ in range(m.size))
         assert triple_tensor(switch_many(m, a)) == triple_tensor(m)
 
-    # both facet computations agree
+    # the facets agree with the isolations route kept in tests/facet_oracle.py
     rng = random.Random(805)
     for _ in range(200):
         m = random_case(rng)
-        assert facets(m) == facets_via_isolations(m)
+        assert facets(m) == FO.facets_via_isolations(m)
 
     # dimension reads off the isolations
     rng = random.Random(806)
     for _ in range(200):
         m = random_case(rng)
-        best = max(independence_number(isolate(m, v)) for v in range(1, m.size + 1))
+        best = max(FO.independence_number(isolate(m, v)) for v in range(1, m.size + 1))
         assert dimension(facets(m)) == best - 1
 
     # every positive answer carries a witness that re-verifies

@@ -12,11 +12,11 @@ from skewswitch import (
     ClassificationReport,
     EquivWitness,
     SkewAlgebraSpec,
-    central_variable_form,
     classify_pair,
     enumerate_eulerian_representatives,
     facets,
     grmod_witness_as_lambdas,
+    isolate,
     relabel,
     switch_many,
     verify_witness,
@@ -165,27 +165,28 @@ class TestGrmodWitnessAsLambdas:
 
 
 class TestCentralVariableForm:
+    # isolating variable v gives an equivalent presentation in which v commutes with all others
     def test_clears_row_and_column(self):
         rng = random.Random(42)
         m = H.random_alt(rng, 5, 6)
         for v in range(1, 7):
-            out = central_variable_form(SkewAlgebraSpec(m), v)
+            out = SkewAlgebraSpec(isolate(m, v))
             assert all(x == 0 for x in out.matrix.entries[v - 1])
             assert all(row[v - 1] == 0 for row in out.matrix.entries)
 
     def test_is_grmod_equivalent_presentation(self):
         m = H.from_edges(3, 5, H.CLASSES_5[5][0])
         s = SkewAlgebraSpec(m)
-        out = central_variable_form(s, 2)
+        out = SkewAlgebraSpec(isolate(s.matrix, 2))
         report = classify_pair(s, out)
         assert report.grmod_equivalent is not None
 
     def test_idempotent(self):
         s = SkewAlgebraSpec(H.from_edges(3, 4, H.FAN_4_ARCS))
-        once = central_variable_form(s, 3)
-        assert central_variable_form(once, 3) == once
+        once = SkewAlgebraSpec(isolate(s.matrix, 3))
+        assert SkewAlgebraSpec(isolate(once.matrix, 3)) == once
 
     def test_fan_display(self):
         s = SkewAlgebraSpec(H.from_edges(3, 4, H.FAN_4_ARCS))
-        out = central_variable_form(s, 1)
+        out = SkewAlgebraSpec(isolate(s.matrix, 1))
         assert H.arcs_of(out.matrix) == set(H.FAN_4_ISOLATION_1)

@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 
 import dense_census as D
+import facet_oracle as FO
 import helpers as H
+import skewswitch
 from skewswitch import REFERENCE_TABLES, make, switch
 from skewswitch.cli import EXIT_GUARD, EXIT_NO, EXIT_USAGE, EXIT_YES, run
 
@@ -202,8 +204,15 @@ class TestComplex:
         assert code == EXIT_YES
         assert doc["facets"] == [list(f) for f in H.PAIR_6_FACETS]
         assert doc["dimension"] == 4
-        _, doc_iso = run_json(capsys, ["complex", "--via", "isolations", p])
-        assert doc_iso["facets"] == doc["facets"]
+        # --via is still accepted, and every value prints the same bytes
+        paley = write_json(tmp_path / "paley.json", H.paley(7, 3))
+        for path in (p, paley):
+            outs = []
+            for via in ([], ["--via", "direct"], ["--via", "isolations"]):
+                assert run(["complex", *via, path]) == EXIT_YES
+                outs.append(capsys.readouterr().out)
+            assert outs[1] == outs[0] and outs[2] == outs[0]
+        assert json.loads(outs[0])["facets"] == [list(f) for f in FO.facets_via_isolations(H.paley(7, 3)).facets]
 
     def test_components(self, tmp_path, capsys):
         m = H.from_upper(3, 3, [1, 1, 1])
@@ -387,6 +396,12 @@ CENSUS_3_4_REPRESENTATIVES = [
     [[0, 0, 1, 2], [0, 0, 1, 2], [2, 2, 0, 2], [1, 1, 1, 0]],
     [[0, 0, 1, 2], [0, 0, 2, 1], [2, 1, 0, 0], [1, 2, 0, 0]],
 ]
+
+
+def test_every_public_name_is_documented_in_readme():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    missing = [name for name in skewswitch.__all__ if f"`{name}`" not in readme]
+    assert not missing, f"public names absent from README.md: {missing}"
 
 
 def test_import_leaves_numpy_unloaded(tmp_path):

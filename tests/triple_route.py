@@ -5,7 +5,7 @@ routes never isolate: the decision backtracks over relabelings while every
 determined triple sum m_ij + m_jh + m_hi agrees with the target, and the
 class form is the least triple tensor over all n! relabelings.  Triple sums
 are a complete invariant for pure switching, so both routes are exact and
-check the isolation route independently.
+check the isolation route independently.  `triple_tensor` lists those sums.
 
 `switching_equivalent_unfiltered` is the isolation decision as it stood
 before vertex profiles: the folded triple-sum multiset as its pre-check,
@@ -16,16 +16,9 @@ exactly its witness.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
-from skewswitch import (
-    AltMatrix,
-    EquivWitness,
-    TripleTensor,
-    relabel,
-    switch_many,
-    triple_tensor,
-    verify_witness,
-)
+from skewswitch import AltMatrix, EquivWitness, relabel, switch_many, verify_witness
 from skewswitch.skewmat import _check_compatible, _isolating_exponents, _isomorphism
 
 from helpers import difference, potential_witness
@@ -33,6 +26,22 @@ from helpers import difference, potential_witness
 
 def _triple_value(e, l, i, j, h):
     return (e[i][j] + e[j][h] + e[h][i]) % l
+
+
+@dataclass(frozen=True)
+class TripleTensor:
+    """All triple sums m_ij + m_jh + m_hi (mod l), for i < j < h in lex order."""
+
+    modulus: int
+    size: int
+    values: tuple[int, ...]
+
+
+def triple_tensor(m: AltMatrix) -> TripleTensor:
+    """Triple sums t_ijh = m_ij + m_jh + m_hi (mod l) for i < j < h."""
+    l, e = m.modulus, m.entries
+    values = tuple(_triple_value(e, l, i, j, h) for i, j, h in itertools.combinations(range(m.size), 3))
+    return TripleTensor(l, m.size, values)
 
 
 def folded_triple_multiset(m: AltMatrix) -> tuple[int, ...]:
