@@ -13,9 +13,8 @@ from .algfrontend import (
     grmod_witness_as_lambdas,
 )
 from .census import (
-    BRUTE_GUARD,
     COUNT_GUARD,
-    EULERIAN_ENUM_GUARD,
+    ENUM_GUARD,
     REFERENCE_TABLES,
     CensusResult,
     CycleType,
@@ -62,12 +61,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AltMatrix",
-    "BRUTE_GUARD",
     "COUNT_GUARD",
     "CensusResult",
     "ClassificationReport",
     "CycleType",
-    "EULERIAN_ENUM_GUARD",
+    "ENUM_GUARD",
     "EquivWitness",
     "IntMatrix",
     "NotCoprimeError",

@@ -10,12 +10,13 @@ only on the lattice spanned by the system's columns.  So each solve runs
 on a small generating set of that lattice, with one row per distinct cycle
 length and one per even cycle (see _orbit_system).  Solutions are counted
 mod l through the Smith normal form (count_solutions_mod), so prime and
-composite moduli of any size take the same exact route.  A brute-force
-census over all matrices doubles as an independent oracle at small sizes
-and produces canonical class representatives.  The two enumerations
-(brute_force_census and enumerate_eulerian_representatives) run on numpy
-tables and import numpy when called; the counts need only the standard
-library, so importing this module does not load numpy.
+composite moduli of any size take the same exact route.
+
+At small sizes brute_force_census recounts both without Burnside and
+enumerate_eulerian_representatives lists the Eulerian classes, both on one
+walk over the l^C(n-1,2) matrices with a zero first row (ENUM_GUARD bounds
+it times n!).  They import numpy when called; the counts do not, so
+importing this module does not load numpy.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ if TYPE_CHECKING:
     import numpy
 
 __all__ = [
-    "BRUTE_GUARD",
     "COUNT_GUARD",
-    "EULERIAN_ENUM_GUARD",
+    "ENUM_GUARD",
     "REFERENCE_TABLES",
     "CycleType",
     "CensusResult",
@@ -47,11 +47,9 @@ __all__ = [
     "enumerate_eulerian_representatives",
 ]
 
-# Both enumerations compare every candidate under all n! relabelings, so their
-# guards bound candidates times n!.  The brute-force census takes every matrix,
-# l^C(n,2) of them; the representative listing every Eulerian one, l^C(n-1,2).
-BRUTE_GUARD = 10**8
-EULERIAN_ENUM_GUARD = 10**8
+# Both enumerations walk the l^C(n-1,2) matrices whose first row is zero and
+# compare each under all n! relabelings, so one guard bounds that product.
+ENUM_GUARD = 10**8
 # The counts solve one system per cycle type, p(n) of them, at a few thousand
 # per second: p(35) = 14883 takes about 3 s, and the bound admits n <= 45.
 COUNT_GUARD = 10**5
@@ -98,23 +96,6 @@ def _check_args(modulus: int, size: int) -> None:
         raise ValueError(f"modulus must be at least 2, got {modulus}")
     if size < 1:
         raise ValueError(f"size must be at least 1, got {size}")
-
-
-def _check_work(what: str, modulus: int, exponent: int, size: int, bound: int) -> None:
-    """Refuse when modulus^exponent candidates times size! relabelings exceed bound.
-
-    The product is built one factor at a time and every factor is at least
-    2, so a refusal takes at most about log2(bound) steps however large the
-    request.
-    """
-    work = 1
-    for factor in itertools.chain(itertools.repeat(modulus, exponent), range(2, size + 1)):
-        work *= factor
-        if work > bound:
-            raise ResourceGuardError(
-                f"{what} needs {modulus}^{exponent} matrices times {size}! relabelings, "
-                f"over the bound {bound}"
-            )
 
 
 def _check_cycle_types(size: int, bound: int) -> None:
@@ -342,104 +323,95 @@ def _decode_matrix(encoding: int, modulus: int, size: int) -> AltMatrix:
     return AltMatrix(modulus, size, tuple(tuple(row) for row in grid))
 
 
-def _row_sum_columns(np, size: int) -> numpy.ndarray:
-    # column v of the result, applied to entry vectors, is the row sum at v
-    npairs = size * (size - 1) // 2
-    cols = np.zeros((npairs, size), dtype=np.int64)
-    for k, (i, j) in enumerate(_pairs(size)):
-        cols[k][i] = 1
-        cols[k][j] = -1
-    return cols
+def _check_enumeration(what: str, modulus: int, size: int) -> None:
+    """Refuse when the l^C(n-1,2) walked matrices times n! relabelings exceed ENUM_GUARD.
+
+    The product is built one factor at a time and every factor is at least
+    2, so a refusal takes at most about log2(ENUM_GUARD) steps however large
+    the request.  The entry and triple-sum encodings must fit in 62 bits.
+    """
+    _check_args(modulus, size)
+    exponent = (size - 1) * (size - 2) // 2
+    work = 1
+    for factor in itertools.chain(itertools.repeat(modulus, exponent), range(2, size + 1)):
+        work *= factor
+        if work > ENUM_GUARD:
+            raise ResourceGuardError(
+                f"{what} needs {modulus}^{exponent} matrices times {size}! relabelings, "
+                f"over the bound {ENUM_GUARD}"
+            )
+    if modulus ** max(math.comb(size, 2), math.comb(size, 3)) > _ENCODE_LIMIT:
+        raise ResourceGuardError(f"encodings for modulus {modulus}, size {size} overflow 62-bit integers")
+
+
+def _eulerian_map(np, size: int) -> numpy.ndarray:
+    """Entries among vertices 2..n to all entries, with the first row that zeroes every row sum.
+
+    Entry (1, j) is the sum of row j over vertices 2..n; row 1 then sums to
+    zero too, since all row sums add up to zero.  The pairs among vertices
+    2..n are the last C(n-1,2) in lex order.
+    """
+    pairs = _pairs(size)
+    index = {p: k for k, p in enumerate(pairs)}
+    out = np.zeros((len(pairs), len(pairs)), dtype=np.int64)
+    for j, k in pairs[size - 1 :]:
+        out[index[(j, k)], [index[(j, k)], index[(0, j)], index[(0, k)]]] = (1, 1, -1)
+    return out[size - 1 :]
+
+
+def _triple_map(np, size: int) -> numpy.ndarray:
+    """Entries among vertices 2..n to the triple sums m_ij + m_jh - m_ih of the matrix with zero first row."""
+    index = {p: k for k, p in enumerate(_pairs(size))}
+    out = np.zeros((len(index), math.comb(size, 3)), dtype=np.int64)
+    for t, (i, j, h) in enumerate(itertools.combinations(range(size), 3)):
+        out[[index[(i, j)], index[(j, h)], index[(i, h)]], t] = (1, 1, -1)
+    return out[size - 1 :]
+
+
+def _walk_codes(np, modulus: int, linear_map: numpy.ndarray, tables, which: slice) -> set[int]:
+    """Least relabeled encodings of x @ linear_map mod l, in chunks of x over all entries among vertices 2..n."""
+    free_weights = _encode_weights(np, modulus, linear_map.shape[0])
+    weights = _encode_weights(np, modulus, linear_map.shape[1])
+    total = modulus ** linear_map.shape[0]
+    codes: set[int] = set()
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        x = ((idx[:, None] // free_weights) % modulus) @ linear_map % modulus
+        codes.update(_min_relabel_encoding(np, x, tables, which, weights, modulus).tolist())
+    return codes
 
 
 def brute_force_census(modulus: int, size: int) -> CensusResult:
-    """Enumerate every skew matrix and count classes by canonical-form dedup.
+    """Both class counts by enumeration, with the Eulerian representatives.
 
-    Switching classes are deduplicated on the lex-least relabeled triple
-    tensor, Eulerian isomorphism classes on the lex-least relabeled entry
-    tuple; the Eulerian representatives are returned in that canonical
-    form, lex-sorted.  Independent of the Burnside route by construction.
+    A matrix whose first row is zero is its own isolation at vertex 1, so
+    the walk meets each pure-switching orbit once; triple sums are constant
+    on an orbit, and their least relabeled encodings count the switching
+    classes.  The Eulerian count and representatives are those of
+    enumerate_eulerian_representatives, walked first with the same tables.
+    Independent of the Burnside route by construction.
     """
-    _check_args(modulus, size)
-    npairs = size * (size - 1) // 2
-    _check_work("brute-force census", modulus, npairs, size, BRUTE_GUARD)
+    _check_enumeration("brute-force census", modulus, size)
     import numpy as np
 
-    total = modulus**npairs
-    ntrips = math.comb(size, 3)
-    trips = list(itertools.combinations(range(size), 3))
-    pair_index = {p: k for k, p in enumerate(_pairs(size))}
-    first = np.array([pair_index[(i, j)] for i, j, h in trips], dtype=np.int64)
-    second = np.array([pair_index[(j, h)] for i, j, h in trips], dtype=np.int64)
-    closing = np.array([pair_index[(i, h)] for i, j, h in trips], dtype=np.int64)
     tables = _relabel_tables(np, size, with_triples=True)
-    entry_weights = _encode_weights(np, modulus, npairs)
-    triple_weights = _encode_weights(np, modulus, ntrips)
-    row_sum_cols = _row_sum_columns(np, size)
-    class_codes: set[int] = set()
-    iso_codes: set[int] = set()
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        entries = (idx[:, None] // entry_weights) % modulus
-        triples = (entries[:, first] + entries[:, second] - entries[:, closing]) % modulus
-        class_codes.update(
-            _min_relabel_encoding(np, triples, tables, slice(2, 4), triple_weights, modulus).tolist()
-        )
-        eulerian = entries[((entries @ row_sum_cols) % modulus == 0).all(axis=1)]
-        if eulerian.shape[0]:
-            iso_codes.update(
-                _min_relabel_encoding(np, eulerian, tables, slice(0, 2), entry_weights, modulus).tolist()
-            )
+    iso_codes = _walk_codes(np, modulus, _eulerian_map(np, size), tables, slice(0, 2))
+    classes = len(_walk_codes(np, modulus, _triple_map(np, size), tables, slice(2, 4)))
     reps = tuple(_decode_matrix(e, modulus, size) for e in sorted(iso_codes))
-    return CensusResult(modulus, size, len(class_codes), len(iso_codes), reps)
+    return CensusResult(modulus, size, classes, len(reps), reps)
 
 
 def enumerate_eulerian_representatives(modulus: int, size: int) -> list[AltMatrix]:
     """One canonical representative per isomorphism class of Eulerian matrices.
 
-    Eulerian matrices are parametrized directly: the entries among vertices
-    2..n are free and the first row is forced by the zero-row-sum condition,
-    so only l^C(n-1,2) matrices are visited instead of l^C(n,2).  Output is
-    in canonical form (lex-least relabeling), lex-sorted.
+    The entries among vertices 2..n are free and the first row is forced by
+    the zero-row-sum condition, so each Eulerian matrix is visited once,
+    l^C(n-1,2) in all.  Output is in canonical form (lex-least
+    relabeling), lex-sorted.
     """
-    _check_args(modulus, size)
-    free = (size - 1) * (size - 2) // 2
-    _check_work("listing", modulus, free, size, EULERIAN_ENUM_GUARD)
-    total = modulus**free
-    npairs = size * (size - 1) // 2
-    if modulus**npairs > _ENCODE_LIMIT:
-        raise ResourceGuardError(
-            f"entry encodings for modulus {modulus}, size {size} overflow 62-bit integers"
-        )
+    _check_enumeration("listing", modulus, size)
     import numpy as np
 
-    pair_index = {p: k for k, p in enumerate(_pairs(size))}
-    free_cols = np.array(
-        [pair_index[(i, j)] for i, j in _pairs(size) if i >= 1], dtype=np.int64
-    )
-    # first row: entry (1, j) is the sum of row j over vertices 2..n
-    completions = []
-    for j in range(1, size):
-        terms = []
-        for k in range(1, size):
-            if k != j:
-                terms.append((pair_index[(j, k)], 1) if j < k else (pair_index[(k, j)], -1))
-        completions.append((pair_index[(0, j)], terms))
     tables = _relabel_tables(np, size, with_triples=False)
-    entry_weights = _encode_weights(np, modulus, npairs)
-    free_weights = _encode_weights(np, modulus, free)
-    iso_codes: set[int] = set()
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        free_entries = (idx[:, None] // free_weights) % modulus
-        entries = np.zeros((len(idx), npairs), dtype=np.int64)
-        entries[:, free_cols] = free_entries
-        for col, terms in completions:
-            acc = np.zeros(len(idx), dtype=np.int64)
-            for c, sign in terms:
-                acc += sign * entries[:, c]
-            entries[:, col] = acc % modulus
-        iso_codes.update(
-            _min_relabel_encoding(np, entries, tables, slice(0, 2), entry_weights, modulus).tolist()
-        )
+    iso_codes = _walk_codes(np, modulus, _eulerian_map(np, size), tables, slice(0, 2))
     return [_decode_matrix(e, modulus, size) for e in sorted(iso_codes)]

@@ -334,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="both class counts, optionally with representatives")
     p.add_argument("--modulus", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--brute-force", action="store_true", help="count by full enumeration")
+    p.add_argument("--brute-force", action="store_true", help="recount both by enumeration, without Burnside")
     p.add_argument("--list", action="store_true", help="include class representatives")
     p.set_defaults(handler=_cmd_census)
 
@@ -374,3 +374,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     raise SystemExit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .skewmat import AltMatrix, Permutation, _extend_isomorphism
+from .skewmat import AltMatrix, Permutation, _check_search_depth, _extend_isomorphism
 
 __all__ = [
     "SimplicialComplex",
@@ -103,6 +103,7 @@ def _maximal_sets(zero: list[list[int]]) -> list[tuple[int, ...]]:
     The family must be hereditary, and s + w + u must belong to it exactly
     when s + w and s + u do and u lies in zero[x][w] for every x in s + w.
     """
+    _check_search_depth(len(zero))
     out: list[tuple[int, ...]] = []
     _grow(zero, out, (), (1 << len(zero)) - 1, 0)
     return out
@@ -185,4 +186,5 @@ def complexes_isomorphic(c: SimplicialComplex, cp: SimplicialComplex) -> Permuta
     def maps_facets_onto_facets(sigma: Permutation) -> bool:
         return {tuple(sorted([sigma[v - 1] for v in f])) for f in c.facets} == target
 
+    _check_search_depth(n)
     return _extend_isomorphism(_codegrees(c), _codegrees(cp), candidates, [], set(), maps_facets_onto_facets)

@@ -30,9 +30,12 @@ comparing those multisets.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
+
+from .errors import ResourceGuardError
 
 __all__ = [
     "AltMatrix",
@@ -128,13 +131,7 @@ def _check_compatible(m: AltMatrix, mp: AltMatrix) -> None:
 def switch(m: AltMatrix, v: int) -> AltMatrix:
     """Switch at vertex v: row v drops by 1, column v gains 1 (mod l)."""
     _check_vertex(m, v)
-    l, n, k = m.modulus, m.size, v - 1
-    ent = [list(row) for row in m.entries]
-    for i in range(n):
-        if i != k:
-            ent[k][i] = (ent[k][i] - 1) % l
-            ent[i][k] = (ent[i][k] + 1) % l
-    return AltMatrix(l, n, tuple(tuple(row) for row in ent))
+    return switch_many(m, [int(i == v) for i in range(1, m.size + 1)])
 
 
 def switch_many(m: AltMatrix, a: Sequence[int]) -> AltMatrix:
@@ -299,12 +296,29 @@ def _isomorphism(m: AltMatrix, mp: AltMatrix) -> Permutation | None:
     for c, row in enumerate(rows_p):
         by_row.setdefault(row, []).append(c)
     candidates = [by_row[row] for row in rows_m]
+    _check_search_depth(m.size)
     return _extend_isomorphism(m.entries, mp.entries, candidates, [], set())
 
 
 # The searches recurse through module-level functions rather than nested
 # ones: a nested function that calls itself is a reference cycle, which
 # keeps its matrices alive until the next full garbage collection.
+
+# frames a search adds beyond one per vertex: its entry, the leaf call, a leaf check
+_SEARCH_FRAMES = 8
+
+
+def _check_search_depth(n: int) -> None:
+    """Refuse, before it starts, a search nesting n calls that the recursion limit would cut short."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    if n > limit - depth - _SEARCH_FRAMES:
+        raise ResourceGuardError(
+            f"a search over {n} vertices nests {n} calls, over the "
+            f"{limit - depth - _SEARCH_FRAMES} that the recursion limit {limit} leaves"
+        )
 
 
 def _extend_isomorphism(me, pe, candidates, image: list[int], used: set[int], accept=None) -> Permutation | None:
@@ -340,6 +354,7 @@ def _least_relabeling(m: AltMatrix, first: int) -> tuple[tuple[int, ...], ...]:
     among the first cell fixes row k.  Branches whose row exceeds the
     incumbent's are cut; ties are explored.
     """
+    _check_search_depth(m.size)
     best: list[list[int]] = []
     _place(m.entries, best, [], first - 1, [[u for u in range(m.size) if u != first - 1]])
     return tuple([tuple(row) for row in best])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import census_oracle as CO
 import dense_census as D
 import helpers as H
 from skewswitch import (
@@ -29,12 +30,16 @@ from skewswitch import (
     relabel,
     switch_many,
 )
+from skewswitch import census
 from skewswitch.census import (
     REFERENCE_TABLES,
     _check_cycle_types,
     _fixed_eulerian,
     _orbit_system,
     _pairs,
+    _relabel_tables,
+    _triple_map,
+    _walk_codes,
 )
 
 S2_TABLE = (1, 1, 2, 3, 7, 16, 54, 243, 2038, 33120, 1182004)
@@ -292,12 +297,52 @@ class TestBruteForceCensus:
             matched.add(hits[0])
         assert matched == {0, 1, 2, 3}
 
+    def test_agrees_with_full_walk_oracle(self):
+        # every case the oracle's walk over all l^C(n,2) matrices answers in seconds
+        cases = [(l, n) for l in range(2, 8) for n in range(1, 5)] + [(2, 5), (3, 5), (2, 6)]
+        for modulus, size in cases:
+            want = CO.brute_force_census(modulus, size)
+            assert brute_force_census(modulus, size) == want, (modulus, size)
+            assert enumerate_eulerian_representatives(modulus, size) == list(want.representatives)
+
+    def test_switching_classes_are_counted_on_triple_sums(self):
+        # the two counts are always equal, so only the codes show that the
+        # switching classes are recounted on their own invariant
+        for modulus, size in ((2, 4), (3, 4), (2, 5), (4, 4)):
+            tables = _relabel_tables(np, size, with_triples=True)
+            walked = _walk_codes(np, modulus, _triple_map(np, size), tables, slice(2, 4))
+            assert walked == CO.least_codes(modulus, size)[0], (modulus, size)
+
+    def test_switching_count_reads_the_triple_walk(self, monkeypatch):
+        # with every triple sum read as zero, only the switching count collapses
+        def zero_triples(np, size):
+            return np.zeros((math.comb(size - 1, 2), math.comb(size, 3)), dtype=np.int64)
+
+        monkeypatch.setattr(census, "_triple_map", zero_triples)
+        got = brute_force_census(3, 5)
+        assert (got.switching_classes, got.eulerian_classes) == (1, 14)
+
+    def test_answers_what_the_full_walk_refused(self):
+        # 4^10 * 5! and 5^10 * 5! were over the guard on all matrices; the walk
+        # over a zero first row takes 4^6 and 5^6 of them
+        for modulus in (4, 5):
+            with pytest.raises(ResourceGuardError):
+                CO.brute_force_census(modulus, 5)
+            got = brute_force_census(modulus, 5)
+            want = count_switching_classes(modulus, 5)
+            assert (got.switching_classes, got.eulerian_classes, len(got.representatives)) == (want,) * 3
+
     def test_resource_guard(self):
-        # the guard bounds matrices times n! relabelings: 2^21 * 7! and 5^10 * 5!
-        # are refused although both have fewer than 10^8 matrices
-        for modulus, size in ((2, 40), (2, 7), (5, 5)):
+        # the guard bounds walked matrices times n! relabelings: 2^15 * 7! and
+        # 4^10 * 6! are refused although both walk fewer than 10^8 matrices
+        for modulus, size in ((2, 40), (2, 7), (4, 6)):
             with pytest.raises(ResourceGuardError, match="relabelings"):
                 brute_force_census(modulus, size)
+
+    def test_encoding_guard(self):
+        # 3e6^3 entry encodings overflow 62 bits, though the walk (3e6 matrices) is admitted
+        with pytest.raises(ResourceGuardError, match="62-bit"):
+            brute_force_census(3_000_000, 3)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -325,7 +370,7 @@ class TestEnumerateEulerianRepresentatives:
 
     def test_agrees_with_brute_force_representatives(self):
         for modulus, size in ((2, 4), (2, 5), (3, 4), (4, 3), (4, 4)):
-            brute = brute_force_census(modulus, size).representatives
+            brute = CO.brute_force_census(modulus, size).representatives
             assert enumerate_eulerian_representatives(modulus, size) == list(brute)
 
     def test_pairwise_non_isomorphic(self):

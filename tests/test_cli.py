@@ -329,11 +329,11 @@ class TestCountCensusTables:
         [
             ["--modulus", "4", "--n", "6", "--list"],
             ["--modulus", "2", "--n", "7", "--brute-force"],
-            ["--modulus", "5", "--n", "5", "--brute-force"],
+            ["--modulus", "4", "--n", "6", "--brute-force"],
         ],
     )
     def test_census_guard_counts_relabelings(self, capsys, argv):
-        # fewer than 10^8 matrices each, but over 10^8 matrices times n! relabelings
+        # fewer than 10^8 walked matrices each, but over 10^8 matrices times n! relabelings
         assert run(["census", *argv]) == EXIT_GUARD
         assert "relabelings, over the bound" in capsys.readouterr().err
 
@@ -450,6 +450,55 @@ def test_enumerations_without_numpy_refuse(tmp_path, argv, code):
     if code == EXIT_USAGE:
         assert proc.stderr.splitlines() == ["error: census needs numpy, which is not installed"]
         assert proc.stdout == ""
+
+
+class TestDeepSearchRefusal:
+    """Searches recurse once per vertex; past the recursion limit they refuse with exit 3."""
+
+    @pytest.fixture(scope="class")
+    def zero_1100(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("deep") / "zero.txt"
+        row = " ".join(["0"] * 1100)
+        path.write_text("3 1100\n" + "\n".join([row] * 1100) + "\n", encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["complex", "iso"])
+    def test_search_refused(self, capsys, zero_1100, command):
+        files = [zero_1100] * (2 if command == "iso" else 1)
+        assert run([command, *files]) == EXIT_GUARD
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and "recursion limit" in line
+
+    @pytest.mark.parametrize("argv", [["switch", "-v", "1"], ["eulerize"]])
+    def test_switching_answers(self, capsys, zero_1100, argv):
+        code, doc = run_json(capsys, [*argv, zero_1100])
+        assert code == EXIT_YES
+        assert doc["size"] == 1100
+
+
+def run_module(module, argv, cwd):
+    """Run ``python -m module argv`` in a fresh interpreter importing from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv], capture_output=True, text=True, cwd=cwd, env=env
+    )
+
+
+@pytest.mark.parametrize("module", ["skewswitch", "skewswitch.cli"])
+def test_python_dash_m(tmp_path, capsys, module):
+    argv = ["count", "--modulus", "3", "--n", "4"]
+    assert run(argv) == EXIT_YES
+    proc = run_module(module, argv, tmp_path)
+    assert (proc.returncode, proc.stdout) == (EXIT_YES, capsys.readouterr().out), proc.stderr
+
+    a = write_text(tmp_path / "path.txt", H.from_edges(3, 4, [(1, 2), (2, 3), (3, 4)]))
+    b = write_text(tmp_path / "zero.txt", H.zero(3, 4))
+    proc = run_module(module, ["equiv", a, b], tmp_path)
+    assert proc.returncode == EXIT_NO, proc.stderr
+    assert json.loads(proc.stdout)["equivalent"] is False
 
 
 class TestInstalledEntryPoint:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 from itertools import combinations, permutations, product
 
@@ -14,9 +15,12 @@ import triple_route as T
 from skewswitch import (
     AltMatrix,
     EquivWitness,
+    ResourceGuardError,
     canonical_class_form,
     canonical_iso_form,
+    complexes_isomorphic,
     count_switching_classes,
+    facets,
     isolate,
     isomorphic,
     make,
@@ -598,3 +602,31 @@ class TestIsolate:
         assert H.arcs_of(isolate(fan, 2)) == set(H.FAN_4_ISOLATION_2)
         assert isolate(fan, 4) == isolate(fan, 2)
         assert H.arcs_of(isolate(fan, 3)) == set(H.FAN_4_ISOLATION_3)
+
+
+class TestSearchDepthRefusal:
+    def test_every_search_refuses_before_it_starts(self, monkeypatch):
+        # a reserve as large as the recursion limit leaves no room for any search
+        m = H.random_alt(random.Random(5), 3, 6)
+        cx = facets(m)
+        monkeypatch.setattr(skewmat, "_SEARCH_FRAMES", sys.getrecursionlimit())
+        searches = {
+            "isomorphic": lambda: isomorphic(m, m),
+            "switching_equivalent": lambda: switching_equivalent(m, m),
+            "canonical_iso_form": lambda: canonical_iso_form(m),
+            "canonical_class_form": lambda: canonical_class_form(m),
+            "facets": lambda: facets(m),
+            "complexes_isomorphic": lambda: complexes_isomorphic(cx, cx),
+        }
+        for name, search in searches.items():
+            with pytest.raises(ResourceGuardError, match="recursion limit"):
+                search()
+        # the switching calculus does not search
+        assert switch(isolate(m, 2), 3).size == 6
+
+    def test_room_counts_the_frames_on_the_stack(self):
+        # the zero matrix nests one call per vertex in every search
+        limit = sys.getrecursionlimit()
+        assert isomorphic(H.zero(3, limit // 2), H.zero(3, limit // 2)) is not None
+        with pytest.raises(ResourceGuardError, match=f"recursion limit {limit}"):
+            isomorphic(H.zero(3, limit), H.zero(3, limit))
