@@ -13,26 +13,43 @@ mod l through the Smith normal form (count_solutions_mod), so prime and
 composite moduli of any size take the same exact route.
 
 At small sizes brute_force_census recounts both without Burnside and
-enumerate_eulerian_representatives lists the Eulerian classes, both on one
-walk over the l^C(n-1,2) matrices with a zero first row (ENUM_GUARD bounds
-it times n!).  They import numpy when called; the counts do not, so
-importing this module does not load numpy.
+enumerate_eulerian_representatives lists the Eulerian classes, on one
+orbit walk (_orbit_walk).  A matrix's code is the base-l number whose
+digits are its entries above the diagonal, row by row, so codes order
+matrices row-major.  The walk scans the l^C(n-1,2) codes of the entries
+among vertices 2..n in order.  From each code not yet marked it generates
+the whole orbit, marks the code of every image, and keeps the least.
+
+- The listing completes a code to the Eulerian matrix whose first row
+  comes from the row sums, so each Eulerian matrix has exactly one code.
+  Its orbit is its n! relabelings; relabeling keeps a matrix Eulerian, so
+  every image is in the walked set, and the least image is the class's
+  canonical_iso_form.
+- The census also reads a code as the matrix x with a zero first row.  Its
+  orbit is relabel(isolate(x, u), sigma) over every vertex u and every
+  sigma with sigma(u) = 1: isolate(x, u) has a zero row u, and sigma moves
+  it to row 1, so every image again has a zero first row.  If x' = relabel(
+  switch_many(x, a), tau) also has a zero first row, it is its own
+  isolation at vertex 1, which is relabel(isolate(x, u), tau) for
+  u = tau^-1(1).  So the orbits are the switching classes, met once each,
+  and the least image is the class's canonical_class_form.
+
+ENUM_GUARD bounds the work: the codes scanned plus n! images per orbit,
+for each walk.  Both walks and the counts run on the standard library.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import ResourceGuardError
 from .modlinalg import IntMatrix, count_solutions_mod
 from .skewmat import AltMatrix
-
-if TYPE_CHECKING:
-    import numpy
 
 __all__ = [
     "COUNT_GUARD",
@@ -47,15 +64,13 @@ __all__ = [
     "enumerate_eulerian_representatives",
 ]
 
-# Both enumerations walk the l^C(n-1,2) matrices whose first row is zero and
-# compare each under all n! relabelings, so one guard bounds that product.
-ENUM_GUARD = 10**8
+# Steps of the orbit walks: l^C(n-1,2) codes scanned plus n! images per
+# orbit, for each walk.  A step costs about 0.5-3 us, so the slowest admitted
+# request takes about half a minute (README, Guards).
+ENUM_GUARD = 10**7
 # The counts solve one system per cycle type, p(n) of them, at a few thousand
 # per second: p(35) = 14883 takes about 3 s, and the bound admits n <= 45.
 COUNT_GUARD = 10**5
-# entry tuples are deduplicated through base-l integer encodings; they must fit in int64
-_ENCODE_LIMIT = 1 << 62
-_CHUNK = 1 << 18
 
 # published class counts for n = 1, 2, ...; "classes" rows are OEIS A002854
 # and A240973, the "eulerian" row lists isomorphism classes at modulus 4
@@ -146,42 +161,6 @@ def cycle_types(size: int) -> tuple[CycleType, ...]:
 
 def _pairs(size: int) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(size), 2))
-
-
-def _pair_action(size: int, inv: Sequence[int]) -> tuple[list[int], list[bool]]:
-    """Source position and sign flip per entry slot for one relabeling.
-
-    Slot (a, b) of the relabeled matrix holds entry (inv a, inv b) of the
-    original, negated when the preimage pair is in decreasing order.
-    """
-    pairs = _pairs(size)
-    index = {p: k for k, p in enumerate(pairs)}
-    pos, flip = [], []
-    for a, b in pairs:
-        p, q = inv[a], inv[b]
-        pos.append(index[(p, q) if p < q else (q, p)])
-        flip.append(p > q)
-    return pos, flip
-
-
-def _triple_action(size: int, inv: Sequence[int]) -> tuple[list[int], list[bool]]:
-    """Same as _pair_action for triple-sum slots; the sign is the preimage parity."""
-    trips = list(itertools.combinations(range(size), 3))
-    index = {t: k for k, t in enumerate(trips)}
-    pos, flip = [], []
-    for a, b, c in trips:
-        p = (inv[a], inv[b], inv[c])
-        inversions = sum(p[x] > p[y] for x in range(3) for y in range(x + 1, 3))
-        pos.append(index[tuple(sorted(p))])
-        flip.append(inversions % 2 == 1)
-    return pos, flip
-
-
-def _inverse0(sigma0: Sequence[int]) -> list[int]:
-    inv = [0] * len(sigma0)
-    for i, s in enumerate(sigma0):
-        inv[s] = i
-    return inv
 
 
 def _exact_div(value: int, divisor: int, what: str) -> int:
@@ -278,126 +257,149 @@ def count_switching_classes(modulus: int, size: int) -> int:
     return count_eulerian_classes(modulus, size)
 
 
-def _relabel_tables(np, size: int, with_triples: bool) -> list[tuple[numpy.ndarray, ...]]:
-    tables = []
-    for sigma0 in itertools.permutations(range(size)):
-        inv = _inverse0(sigma0)
-        pos2, flip2 = _pair_action(size, inv)
-        entry = (np.array(pos2, dtype=np.int64), np.array(flip2, dtype=bool))
-        if with_triples:
-            pos3, flip3 = _triple_action(size, inv)
-            entry += (np.array(pos3, dtype=np.int64), np.array(flip3, dtype=bool))
-        tables.append(entry)
-    return tables
-
-
-def _encode_weights(np, modulus: int, length: int) -> numpy.ndarray:
-    return np.array([modulus ** (length - 1 - k) for k in range(length)], dtype=np.int64)
-
-
-def _min_relabel_encoding(
-    np, x: numpy.ndarray, tables, which: slice, weights: numpy.ndarray, modulus: int
-) -> numpy.ndarray:
-    """Per row of x, the smallest base-l encoding over all relabelings."""
-    best: numpy.ndarray | None = None
-    for table in tables:
-        pos, flip = table[which]
-        cand = x[:, pos]
-        cand = np.where(flip, (modulus - cand) % modulus, cand)
-        enc = cand @ weights
-        best = enc if best is None else np.minimum(best, enc)
-    assert best is not None
-    return best
-
-
-def _decode_matrix(encoding: int, modulus: int, size: int) -> AltMatrix:
-    npairs = size * (size - 1) // 2
+def _decode_matrix(code: int, modulus: int, size: int) -> AltMatrix:
+    """The matrix whose entries above the diagonal, row by row, are the base-l digits of code."""
     grid = [[0] * size for _ in range(size)]
-    rest = int(encoding)
-    for k, (i, j) in enumerate(_pairs(size)):
-        weight = modulus ** (npairs - 1 - k)
-        v = rest // weight
-        rest %= weight
-        grid[i][j] = v
-        grid[j][i] = (-v) % modulus
-    return AltMatrix(modulus, size, tuple(tuple(row) for row in grid))
+    for i, j in reversed(_pairs(size)):
+        code, v = divmod(code, modulus)
+        grid[i][j], grid[j][i] = v, (-v) % modulus
+    return AltMatrix(modulus, size, tuple([tuple(row) for row in grid]))
 
 
-def _check_enumeration(what: str, modulus: int, size: int) -> None:
-    """Refuse when the l^C(n-1,2) walked matrices times n! relabelings exceed ENUM_GUARD.
+def _check_enumeration(what: str, modulus: int, size: int, walks: int) -> None:
+    """Refuse when `walks` orbit walks would take more than ENUM_GUARD steps.
 
-    The product is built one factor at a time and every factor is at least
-    2, so a refusal takes at most about log2(ENUM_GUARD) steps however large
-    the request.  The entry and triple-sum encodings must fit in 62 bits.
+    A walk scans the l^C(n-1,2) codes and computes n! images per orbit, and
+    there are count_eulerian_classes orbits; the count only sizes the work.
+    The codes are counted first, one factor at a time, so a huge request is
+    refused within about log2(ENUM_GUARD) steps, before anything is counted.
     """
     _check_args(modulus, size)
     exponent = (size - 1) * (size - 2) // 2
-    work = 1
-    for factor in itertools.chain(itertools.repeat(modulus, exponent), range(2, size + 1)):
-        work *= factor
-        if work > ENUM_GUARD:
+    codes = 1
+    for _ in range(exponent):
+        codes *= modulus
+        if walks * codes > ENUM_GUARD:
             raise ResourceGuardError(
-                f"{what} needs {modulus}^{exponent} matrices times {size}! relabelings, "
+                f"{what} scans {modulus}^{exponent} codes per walk in {walks} walk(s), "
                 f"over the bound {ENUM_GUARD}"
             )
-    if modulus ** max(math.comb(size, 2), math.comb(size, 3)) > _ENCODE_LIMIT:
-        raise ResourceGuardError(f"encodings for modulus {modulus}, size {size} overflow 62-bit integers")
+    orbits = count_eulerian_classes(modulus, size)
+    work = walks * (codes + orbits * math.factorial(size))
+    if work > ENUM_GUARD:
+        raise ResourceGuardError(
+            f"{what} needs {work} steps in {walks} walk(s) of {codes} codes and "
+            f"{orbits} orbits of {size}! relabelings, over the bound {ENUM_GUARD}"
+        )
 
 
-def _eulerian_map(np, size: int) -> numpy.ndarray:
-    """Entries among vertices 2..n to all entries, with the first row that zeroes every row sum.
+def _relabelings(size: int) -> list[tuple[int, list[int]]]:
+    """Per relabeling sigma, the preimage of vertex 1 and where each slot of the image comes from.
 
-    Entry (1, j) is the sum of row j over vertices 2..n; row 1 then sums to
-    zero too, since all row sums add up to zero.  The pairs among vertices
-    2..n are the last C(n-1,2) in lex order.
+    Slot (a, b) of relabel(x, sigma) holds entry (inv a, inv b) of x.  Read
+    from the entry vector v of x followed by its negation, that is index k
+    of the pair when inv a < inv b and k + C(n,2) otherwise.
     """
     pairs = _pairs(size)
     index = {p: k for k, p in enumerate(pairs)}
-    out = np.zeros((len(pairs), len(pairs)), dtype=np.int64)
-    for j, k in pairs[size - 1 :]:
-        out[index[(j, k)], [index[(j, k)], index[(0, j)], index[(0, k)]]] = (1, 1, -1)
-    return out[size - 1 :]
+    out = []
+    for inv in itertools.permutations(range(size)):
+        source = [
+            index[(inv[a], inv[b])] if inv[a] < inv[b] else len(pairs) + index[(inv[b], inv[a])]
+            for a, b in pairs
+        ]
+        out.append((inv[0], source))
+    return out
 
 
-def _triple_map(np, size: int) -> numpy.ndarray:
-    """Entries among vertices 2..n to the triple sums m_ij + m_jh - m_ih of the matrix with zero first row."""
-    index = {p: k for k, p in enumerate(_pairs(size))}
-    out = np.zeros((len(index), math.comb(size, 3)), dtype=np.int64)
-    for t, (i, j, h) in enumerate(itertools.combinations(range(size), 3)):
-        out[[index[(i, j)], index[(j, h)], index[(i, h)]], t] = (1, 1, -1)
-    return out[size - 1 :]
+def _image_codes(modulus: int, entries: list[int], sources: list[list[int]], weights: list[int]) -> list[int]:
+    """Base-l codes of the relabelings of the matrix with entry vector `entries`, one per source list."""
+    get = (entries + [(-e) % modulus for e in entries]).__getitem__
+    return [sum(map(operator.mul, map(get, source), weights)) for source in sources]
 
 
-def _walk_codes(np, modulus: int, linear_map: numpy.ndarray, tables, which: slice) -> set[int]:
-    """Least relabeled encodings of x @ linear_map mod l, in chunks of x over all entries among vertices 2..n."""
-    free_weights = _encode_weights(np, modulus, linear_map.shape[0])
-    weights = _encode_weights(np, modulus, linear_map.shape[1])
-    total = modulus ** linear_map.shape[0]
-    codes: set[int] = set()
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        x = ((idx[:, None] // free_weights) % modulus) @ linear_map % modulus
-        codes.update(_min_relabel_encoding(np, x, tables, which, weights, modulus).tolist())
-    return codes
+def _orbit_walk(modulus: int, size: int, images: Callable[[list[int]], list[int]]) -> list[int]:
+    """Least image code of each orbit met by the walk, in increasing order.
+
+    The walk scans the codes of the entries among vertices 2..n in order,
+    skipping every code already marked.  images(x) lists the codes of a
+    whole orbit from its member with those entries x; each image is
+    marked by its last C(n-1,2) digits, which are its entries among
+    vertices 2..n.
+    """
+    free = (size - 1) * (size - 2) // 2
+    total = modulus**free
+    seen = bytearray(total)
+    least = []
+    code = 0
+    while code >= 0:
+        x, rest = [0] * free, code
+        for k in range(free - 1, -1, -1):
+            rest, x[k] = divmod(rest, modulus)
+        orbit = images(x)
+        for c in orbit:
+            seen[c % total] = 1
+        least.append(min(orbit))
+        code = seen.find(0, code + 1)
+    least.sort()
+    return least
+
+
+def _eulerian_walk(modulus: int, size: int, relabelings: list[tuple[int, list[int]]]) -> list[int]:
+    # slot (1, j) is the sum of row j over vertices 2..n, so every row sums to zero
+    npairs = size * (size - 1) // 2
+    weights = [modulus ** (npairs - 1 - k) for k in range(npairs)]
+    sources = [source for _, source in relabelings]
+    free_pairs = _pairs(size)[size - 1 :]
+
+    def images(x: list[int]) -> list[int]:
+        first = [0] * size
+        for (j, k), e in zip(free_pairs, x):
+            first[j] += e
+            first[k] -= e
+        return _image_codes(modulus, [e % modulus for e in first[1:]] + x, sources, weights)
+
+    return _orbit_walk(modulus, size, images)
+
+
+def _isolated_entries(modulus: int, grid: list[list[int]], u: int, pairs: list[tuple[int, int]]) -> list[int]:
+    """Entry vector of isolate(x, u), whose entry (i, j) is x_ij + x_ui - x_uj."""
+    row = grid[u]
+    return [(grid[i][j] + row[i] - row[j]) % modulus for i, j in pairs]
+
+
+def _class_walk(modulus: int, size: int, relabelings: list[tuple[int, list[int]]]) -> list[int]:
+    # images relabel(isolate(x, u), sigma) with sigma(u) = 1 keep the first row
+    # zero, so their codes need only the slots among vertices 2..n
+    npairs = size * (size - 1) // 2
+    weights = [modulus ** (npairs - 1 - k) for k in range(size - 1, npairs)]
+    by_vertex = [[source[size - 1 :] for u0, source in relabelings if u0 == u] for u in range(size)]
+    pairs = _pairs(size)
+
+    def images(x: list[int]) -> list[int]:
+        grid = [[0] * size for _ in range(size)]
+        for (i, j), e in zip(pairs[size - 1 :], x):
+            grid[i][j], grid[j][i] = e, -e
+        out = []
+        for u, sources in enumerate(by_vertex):
+            out += _image_codes(modulus, _isolated_entries(modulus, grid, u, pairs), sources, weights)
+        return out
+
+    return _orbit_walk(modulus, size, images)
 
 
 def brute_force_census(modulus: int, size: int) -> CensusResult:
     """Both class counts by enumeration, with the Eulerian representatives.
 
-    A matrix whose first row is zero is its own isolation at vertex 1, so
-    the walk meets each pure-switching orbit once; triple sums are constant
-    on an orbit, and their least relabeled encodings count the switching
-    classes.  The Eulerian count and representatives are those of
-    enumerate_eulerian_representatives, walked first with the same tables.
-    Independent of the Burnside route by construction.
+    The switching classes are the orbits of the class walk (see the module
+    docstring); the Eulerian count and representatives are those of
+    enumerate_eulerian_representatives.  Independent of the Burnside route
+    by construction.
     """
-    _check_enumeration("brute-force census", modulus, size)
-    import numpy as np
-
-    tables = _relabel_tables(np, size, with_triples=True)
-    iso_codes = _walk_codes(np, modulus, _eulerian_map(np, size), tables, slice(0, 2))
-    classes = len(_walk_codes(np, modulus, _triple_map(np, size), tables, slice(2, 4)))
-    reps = tuple(_decode_matrix(e, modulus, size) for e in sorted(iso_codes))
+    _check_enumeration("brute-force census", modulus, size, walks=2)
+    relabelings = _relabelings(size)
+    reps = tuple(_decode_matrix(c, modulus, size) for c in _eulerian_walk(modulus, size, relabelings))
+    classes = len(_class_walk(modulus, size, relabelings))
     return CensusResult(modulus, size, classes, len(reps), reps)
 
 
@@ -409,9 +411,6 @@ def enumerate_eulerian_representatives(modulus: int, size: int) -> list[AltMatri
     l^C(n-1,2) in all.  Output is in canonical form (lex-least
     relabeling), lex-sorted.
     """
-    _check_enumeration("listing", modulus, size)
-    import numpy as np
-
-    tables = _relabel_tables(np, size, with_triples=False)
-    iso_codes = _walk_codes(np, modulus, _eulerian_map(np, size), tables, slice(0, 2))
-    return [_decode_matrix(e, modulus, size) for e in sorted(iso_codes)]
+    _check_enumeration("listing", modulus, size, walks=1)
+    codes = _eulerian_walk(modulus, size, _relabelings(size))
+    return [_decode_matrix(c, modulus, size) for c in codes]

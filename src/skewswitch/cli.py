@@ -237,9 +237,10 @@ def _cmd_census(args: argparse.Namespace) -> int:
         s, t = result.switching_classes, result.eulerian_classes
         reps = result.representatives if args.list else None
     else:
+        # the listing first: its guard refuses sizes whose counts would take long
+        reps = tuple(enumerate_eulerian_representatives(args.modulus, args.n)) if args.list else None
         s = count_switching_classes(args.modulus, args.n)
         t = count_eulerian_classes(args.modulus, args.n)
-        reps = tuple(enumerate_eulerian_representatives(args.modulus, args.n)) if args.list else None
     _emit(
         {
             "modulus": args.modulus,
@@ -363,12 +364,6 @@ def run(argv: Sequence[str] | None = None) -> int:
         return EXIT_GUARD
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ModuleNotFoundError as exc:
-        # only the two enumerations import numpy, after their guards pass
-        if exc.name != "numpy":
-            raise
-        print(f"error: {args.command} needs numpy, which is not installed", file=sys.stderr)
         return EXIT_USAGE
 
 

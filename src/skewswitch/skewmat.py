@@ -250,6 +250,8 @@ def switching_equivalent(m: AltMatrix, mp: AltMatrix) -> EquivWitness | None:
     so c_1 = 0.  The witness is verified before it is returned.
     """
     _check_compatible(m, mp)
+    # refuse a search too deep to run before paying for the profiles
+    _check_search_depth(m.size)
     profiles, target = _vertex_profiles(m), _vertex_profiles(mp)
     if sorted(profiles) != sorted(target):
         return None

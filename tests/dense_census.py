@@ -12,12 +12,40 @@ checks the lattice reduction there.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from skewswitch import IntMatrix, Permutation, count_solutions_mod, cycle_types
-from skewswitch.census import _exact_div, _inverse0, _pair_action, _pairs
+
+
+def _pairs(size: int) -> list[tuple[int, int]]:
+    return list(itertools.combinations(range(size), 2))
+
+
+def _exact_div(value: int, divisor: int, what: str) -> int:
+    if value % divisor:
+        raise RuntimeError(f"{what} is not divisible by {divisor}: {value}")
+    return value // divisor
+
+
+def _relabel_sources(size: int, sigma: Permutation) -> tuple[list[int], list[bool]]:
+    """Per entry slot of the relabeled matrix, the source slot and whether it is negated.
+
+    Slot (a, b) holds entry (inv a, inv b) of the original, negated when the
+    preimage pair is in decreasing order.
+    """
+    inv = [0] * size
+    for i, s in enumerate(sigma):
+        inv[s - 1] = i
+    index = {p: k for k, p in enumerate(_pairs(size))}
+    pos, flip = [], []
+    for a, b in _pairs(size):
+        p, q = inv[a], inv[b]
+        pos.append(index[(p, q) if p < q else (q, p)])
+        flip.append(p > q)
+    return pos, flip
 
 
 @dataclass(frozen=True)
@@ -69,7 +97,7 @@ def _switching_matrix(size: int) -> IntMatrix:
 
 
 def _action_matrix(size: int, sigma: Permutation) -> IntMatrix:
-    pos, flip = _pair_action(size, _inverse0([s - 1 for s in sigma]))
+    pos, flip = _relabel_sources(size, sigma)
     npairs = len(pos)
     rows = [[0] * npairs for _ in range(npairs)]
     for k in range(npairs):

@@ -19,6 +19,7 @@ from skewswitch import (
     CycleType,
     ResourceGuardError,
     brute_force_census,
+    canonical_class_form,
     canonical_iso_form,
     count_eulerian_classes,
     count_solutions_mod,
@@ -34,12 +35,13 @@ from skewswitch import census
 from skewswitch.census import (
     REFERENCE_TABLES,
     _check_cycle_types,
+    _check_enumeration,
+    _class_walk,
+    _decode_matrix,
     _fixed_eulerian,
     _orbit_system,
     _pairs,
-    _relabel_tables,
-    _triple_map,
-    _walk_codes,
+    _relabelings,
 )
 
 S2_TABLE = (1, 1, 2, 3, 7, 16, 54, 243, 2038, 33120, 1182004)
@@ -305,22 +307,32 @@ class TestBruteForceCensus:
             assert brute_force_census(modulus, size) == want, (modulus, size)
             assert enumerate_eulerian_representatives(modulus, size) == list(want.representatives)
 
-    def test_switching_classes_are_counted_on_triple_sums(self):
-        # the two counts are always equal, so only the codes show that the
-        # switching classes are recounted on their own invariant
-        for modulus, size in ((2, 4), (3, 4), (2, 5), (4, 4)):
-            tables = _relabel_tables(np, size, with_triples=True)
-            walked = _walk_codes(np, modulus, _triple_map(np, size), tables, slice(2, 4))
-            assert walked == CO.least_codes(modulus, size)[0], (modulus, size)
+    def test_class_walk_keeps_canonical_class_forms(self):
+        # every matrix is switching equivalent to its isolation at vertex 1, so
+        # the matrices with a zero first row carry every canonical_class_form
+        for modulus in range(2, 6):
+            for size in range(1, 6):
+                zero_first_row = range(modulus ** math.comb(size - 1, 2))
+                forms = {canonical_class_form(_decode_matrix(c, modulus, size)) for c in zero_first_row}
+                walked = _class_walk(modulus, size, _relabelings(size))
+                assert [_decode_matrix(c, modulus, size) for c in walked] == sorted(
+                    forms, key=lambda m: m.entries
+                ), (modulus, size)
 
-    def test_switching_count_reads_the_triple_walk(self, monkeypatch):
-        # with every triple sum read as zero, only the switching count collapses
-        def zero_triples(np, size):
-            return np.zeros((math.comb(size - 1, 2), math.comb(size, 3)), dtype=np.int64)
-
-        monkeypatch.setattr(census, "_triple_map", zero_triples)
+    def test_switching_count_reads_the_isolation_step(self, monkeypatch):
+        # the two counts are always equal; with every isolation read as the zero
+        # matrix, each code is a class of its own and only the switching count moves
+        monkeypatch.setattr(census, "_isolated_entries", lambda modulus, grid, u, pairs: [0] * len(pairs))
         got = brute_force_census(3, 5)
-        assert (got.switching_classes, got.eulerian_classes) == (1, 14)
+        assert (got.switching_classes, got.eulerian_classes) == (3**6, 14)
+
+    def test_reproduces_reference_tables_without_burnside(self):
+        # the published rows, from the enumeration alone: (2, 7) gives 54 and (4, 6) 1760
+        rows = {(2, "classes"): 7, (3, "classes"): 6, (4, "eulerian"): 6}
+        for (modulus, kind), top in rows.items():
+            got = [brute_force_census(modulus, n) for n in range(1, top + 1)]
+            counts = [r.switching_classes if kind == "classes" else r.eulerian_classes for r in got]
+            assert tuple(counts) == REFERENCE_TABLES[modulus, kind][:top], (modulus, kind)
 
     def test_answers_what_the_full_walk_refused(self):
         # 4^10 * 5! and 5^10 * 5! were over the guard on all matrices; the walk
@@ -333,15 +345,20 @@ class TestBruteForceCensus:
             assert (got.switching_classes, got.eulerian_classes, len(got.representatives)) == (want,) * 3
 
     def test_resource_guard(self):
-        # the guard bounds walked matrices times n! relabelings: 2^15 * 7! and
-        # 4^10 * 6! are refused although both walk fewer than 10^8 matrices
-        for modulus, size in ((2, 40), (2, 7), (4, 6)):
-            with pytest.raises(ResourceGuardError, match="relabelings"):
+        # two walks of codes plus n! images per orbit: (2, 8) scans 2 * 2^21 codes
+        # but has 2 * 243 * 8! images; (3, 7) and (2, 40) are refused on the codes alone
+        start = time.perf_counter()
+        for modulus, size in ((2, 8), (3, 7), (2, 40), (10**30, 3)):
+            with pytest.raises(ResourceGuardError, match="over the bound"):
                 brute_force_census(modulus, size)
+        assert time.perf_counter() - start < 1.0
+        # answered, with the published counts, in test_reproduces_reference_tables_without_burnside
+        for modulus, size in ((2, 7), (4, 6)):
+            _check_enumeration("brute-force census", modulus, size, walks=2)
 
     def test_encoding_guard(self):
-        # 3e6^3 entry encodings overflow 62 bits, though the walk (3e6 matrices) is admitted
-        with pytest.raises(ResourceGuardError, match="62-bit"):
+        # 3e6 codes fit the guard, but their 1.5e6 orbits of 3! images do not
+        with pytest.raises(ResourceGuardError, match="orbits of 3! relabelings"):
             brute_force_census(3_000_000, 3)
 
     def test_invalid_arguments(self):
@@ -385,13 +402,17 @@ class TestEnumerateEulerianRepresentatives:
         assert reps == sorted(reps, key=lambda m: m.entries)
 
     def test_enumeration_guard(self):
-        # 4^10 * 6! = 7.5e8 comparisons: refused although 4^10 matrices are few
-        for modulus, size in ((3, 7), (4, 6)):
-            with pytest.raises(ResourceGuardError, match="relabelings"):
+        # 3^15 codes are refused at once; (2, 8) and (5, 6) scan fewer than 10^7
+        # codes, but their orbits of n! images take them over the bound
+        for modulus, size in ((3, 7), (2, 8), (5, 6)):
+            with pytest.raises(ResourceGuardError, match="over the bound"):
                 enumerate_eulerian_representatives(modulus, size)
+        assert len(enumerate_eulerian_representatives(2, 7)) == 54
+        # the same walk answers (4, 6) in test_reproduces_reference_tables_without_burnside
+        _check_enumeration("listing", 4, 6, walks=1)
 
     def test_encoding_guard(self):
-        with pytest.raises(ResourceGuardError):
+        with pytest.raises(ResourceGuardError, match="orbits of 3! relabelings"):
             enumerate_eulerian_representatives(3_000_000, 3)
 
 

@@ -327,13 +327,13 @@ class TestCountCensusTables:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--modulus", "4", "--n", "6", "--list"],
-            ["--modulus", "2", "--n", "7", "--brute-force"],
-            ["--modulus", "4", "--n", "6", "--brute-force"],
+            ["--modulus", "2", "--n", "8", "--list"],
+            ["--modulus", "2", "--n", "8", "--brute-force"],
+            ["--modulus", "5", "--n", "6", "--list"],
         ],
     )
     def test_census_guard_counts_relabelings(self, capsys, argv):
-        # fewer than 10^8 walked matrices each, but over 10^8 matrices times n! relabelings
+        # fewer than 10^7 scanned codes each, but over 10^7 with n! images per orbit
         assert run(["census", *argv]) == EXIT_GUARD
         assert "relabelings, over the bound" in capsys.readouterr().err
 
@@ -389,7 +389,7 @@ def run_console_script(name, argv, cwd):
     )
 
 
-# census --modulus 3 --n 4 --list, as listed before numpy left the import path
+# census --modulus 3 --n 4 --list, as listed by the numpy walk the orbit walk replaced
 CENSUS_3_4_REPRESENTATIVES = [
     [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
     [[0, 0, 0, 0], [0, 0, 1, 2], [0, 2, 0, 1], [0, 1, 2, 0]],
@@ -424,32 +424,46 @@ def test_import_leaves_numpy_unloaded(tmp_path):
     assert doc["representatives"] == CENSUS_3_4_REPRESENTATIVES
 
 
-@pytest.mark.parametrize(
-    "argv, code",
-    [
-        (["census", "--modulus", "3", "--n", "4", "--list"], EXIT_USAGE),
-        (["census", "--modulus", "2", "--n", "4", "--brute-force"], EXIT_USAGE),
-        # guards come before the import
-        (["census", "--modulus", "3", "--n", "7", "--list"], EXIT_GUARD),
-        (["census", "--modulus", "2", "--n", "7", "--brute-force"], EXIT_GUARD),
-        (["census", "--modulus", "3", "--n", "5"], EXIT_YES),
-    ],
-)
-def test_enumerations_without_numpy_refuse(tmp_path, argv, code):
-    # a fresh interpreter in which importing numpy fails, as where it is not installed
+def run_without_numpy(argv, cwd):
+    """Run the CLI in a fresh interpreter in which importing numpy fails, as where it is not installed."""
     program = (
         "import sys; sys.modules['numpy'] = None; import skewswitch.cli; "
         f"sys.exit(skewswitch.cli.run({argv!r}))"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", program], capture_output=True, text=True, cwd=tmp_path, env=env
-    )
+    return subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, cwd=cwd, env=env)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--modulus", "3", "--n", "4", "--list"],
+        ["census", "--modulus", "3", "--n", "4", "--brute-force", "--list"],
+    ],
+)
+def test_enumerations_answer_without_numpy(tmp_path, argv):
+    proc = run_without_numpy(argv, tmp_path)
+    assert proc.returncode == EXIT_YES, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert (doc["switching_classes"], doc["eulerian_classes"]) == (4, 4)
+    assert doc["representatives"] == CENSUS_3_4_REPRESENTATIVES
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # refused on the codes scanned, then on the orbits' n! images
+        (["census", "--modulus", "3", "--n", "7", "--list"], EXIT_GUARD),
+        (["census", "--modulus", "3", "--n", "7", "--brute-force"], EXIT_GUARD),
+        (["census", "--modulus", "2", "--n", "8", "--list"], EXIT_GUARD),
+        (["census", "--modulus", "2", "--n", "8", "--brute-force"], EXIT_GUARD),
+        (["census", "--modulus", "3", "--n", "5"], EXIT_YES),
+    ],
+)
+def test_enumerations_without_numpy_refuse(tmp_path, argv, code):
+    proc = run_without_numpy(argv, tmp_path)
     assert proc.returncode == code, proc.stderr
-    if code == EXIT_USAGE:
-        assert proc.stderr.splitlines() == ["error: census needs numpy, which is not installed"]
-        assert proc.stdout == ""
 
 
 class TestDeepSearchRefusal:
@@ -462,9 +476,9 @@ class TestDeepSearchRefusal:
         path.write_text("3 1100\n" + "\n".join([row] * 1100) + "\n", encoding="utf-8")
         return str(path)
 
-    @pytest.mark.parametrize("command", ["complex", "iso"])
+    @pytest.mark.parametrize("command", ["complex", "iso", "equiv"])
     def test_search_refused(self, capsys, zero_1100, command):
-        files = [zero_1100] * (2 if command == "iso" else 1)
+        files = [zero_1100] * (1 if command == "complex" else 2)
         assert run([command, *files]) == EXIT_GUARD
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import sys
+import time
 from collections import Counter
 from itertools import combinations, permutations, product
 
@@ -623,6 +624,15 @@ class TestSearchDepthRefusal:
                 search()
         # the switching calculus does not search
         assert switch(isolate(m, 2), 3).size == 6
+
+    def test_equivalence_refuses_before_profiling(self):
+        # the vertex profiles of two 1100-vertex matrices take seconds; the
+        # depth check comes first, so the refusal is at once
+        z = H.zero(3, 1100)
+        start = time.perf_counter()
+        with pytest.raises(ResourceGuardError, match="recursion limit"):
+            switching_equivalent(z, z)
+        assert time.perf_counter() - start < 1.0
 
     def test_room_counts_the_frames_on_the_stack(self):
         # the zero matrix nests one call per vertex in every search
