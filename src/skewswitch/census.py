@@ -266,13 +266,13 @@ def _decode_matrix(code: int, modulus: int, size: int) -> AltMatrix:
     return AltMatrix(modulus, size, tuple([tuple(row) for row in grid]))
 
 
-def _check_enumeration(what: str, modulus: int, size: int, walks: int) -> None:
-    """Refuse when `walks` orbit walks would take more than ENUM_GUARD steps.
+def _check_enumeration(what: str, modulus: int, size: int, walks: int) -> int:
+    """Refuse when `walks` orbit walks would take more than ENUM_GUARD steps, else count the orbits.
 
     A walk scans the l^C(n-1,2) codes and computes n! images per orbit, and
-    there are count_eulerian_classes orbits; the count only sizes the work.
-    The codes are counted first, one factor at a time, so a huge request is
-    refused within about log2(ENUM_GUARD) steps, before anything is counted.
+    there are count_eulerian_classes orbits, which is returned.  The codes
+    are counted first, one factor at a time, so a huge request is refused
+    within about log2(ENUM_GUARD) steps, before anything is counted.
     """
     _check_args(modulus, size)
     exponent = (size - 1) * (size - 2) // 2
@@ -291,6 +291,7 @@ def _check_enumeration(what: str, modulus: int, size: int, walks: int) -> None:
             f"{what} needs {work} steps in {walks} walk(s) of {codes} codes and "
             f"{orbits} orbits of {size}! relabelings, over the bound {ENUM_GUARD}"
         )
+    return orbits
 
 
 def _relabelings(size: int) -> list[tuple[int, list[int]]]:
@@ -409,8 +410,11 @@ def enumerate_eulerian_representatives(modulus: int, size: int) -> list[AltMatri
     The entries among vertices 2..n are free and the first row is forced by
     the zero-row-sum condition, so each Eulerian matrix is visited once,
     l^C(n-1,2) in all.  Output is in canonical form (lex-least
-    relabeling), lex-sorted.
+    relabeling), lex-sorted.  The walk must meet as many classes as the
+    Burnside count that sized it, or RuntimeError is raised.
     """
-    _check_enumeration("listing", modulus, size, walks=1)
+    orbits = _check_enumeration("listing", modulus, size, walks=1)
     codes = _eulerian_walk(modulus, size, _relabelings(size))
+    if len(codes) != orbits:
+        raise RuntimeError(f"listing walk met {len(codes)} classes, the Burnside count is {orbits}")
     return [_decode_matrix(c, modulus, size) for c in codes]

@@ -94,11 +94,12 @@ def _load_matrix(path: str) -> AltMatrix:
 
 
 def _matrix_doc(m: AltMatrix) -> dict:
-    return {"modulus": m.modulus, "size": m.size, "entries": [list(row) for row in m.entries]}
+    return {"modulus": m.modulus, "size": m.size, "entries": m.entries}
 
 
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+    # one line in the input layout; without indent, json.dumps takes the C encoder
+    print(json.dumps(doc))
 
 
 def _cmd_switch(args: argparse.Namespace) -> int:
@@ -118,9 +119,9 @@ def _cmd_eulerize(args: argparse.Namespace) -> int:
     if args.explain:
         profile = row_sum_profile(m)
         doc["scale"] = pow(m.size, -1, m.modulus)
-        doc["row_sums"] = list(profile.sums)
-        doc["buckets"] = {str(k): list(vs) for k, vs in enumerate(profile.buckets) if vs}
-        doc["exponents"] = list(exponents)
+        doc["row_sums"] = profile.sums
+        doc["buckets"] = {str(k): vs for k, vs in enumerate(profile.buckets) if vs}
+        doc["exponents"] = exponents
     _emit(doc)
     return EXIT_YES
 
@@ -130,8 +131,8 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     _emit(
         {
             "equivalent": witness is not None,
-            "permutation": list(witness.sigma) if witness else None,
-            "switch_exponents": list(witness.exponents) if witness else None,
+            "permutation": witness.sigma if witness else None,
+            "switch_exponents": witness.exponents if witness else None,
         }
     )
     return EXIT_YES if witness else EXIT_NO
@@ -139,7 +140,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 
 def _cmd_iso(args: argparse.Namespace) -> int:
     sigma = isomorphic(_load_matrix(args.first), _load_matrix(args.second))
-    _emit({"isomorphic": sigma is not None, "permutation": list(sigma) if sigma else None})
+    _emit({"isomorphic": sigma is not None, "permutation": sigma})
     return EXIT_YES if sigma else EXIT_NO
 
 
@@ -169,12 +170,12 @@ def _cmd_complex(args: argparse.Namespace) -> int:
     cx = facets(m)
     doc = {
         "size": cx.n,
-        "facets": [list(f) for f in cx.facets],
+        "facets": cx.facets,
         "dimension": dimension(cx),
     }
     if args.components:
         # one linear component of the point variety per facet F, of projective dimension |F| - 1
-        doc["components"] = [{"support": list(f), "projective_dimension": len(f) - 1} for f in cx.facets]
+        doc["components"] = [{"support": f, "projective_dimension": len(f) - 1} for f in cx.facets]
     _emit(doc)
     return EXIT_YES
 
@@ -186,8 +187,8 @@ def _cmd_complex_iso(args: argparse.Namespace) -> int:
     _emit(
         {
             "isomorphic": sigma is not None,
-            "vertex_bijection": list(sigma) if sigma else None,
-            "facets": [[list(f) for f in ca.facets], [list(f) for f in cb.facets]],
+            "vertex_bijection": sigma,
+            "facets": [ca.facets, cb.facets],
         }
     )
     return EXIT_YES if sigma else EXIT_NO
@@ -201,23 +202,16 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     doc = {
         "modulus": a.modulus,
         "sizes": [a.size, b.size],
-        "algebra_isomorphic": list(report.algebra_isomorphic)
-        if report.algebra_isomorphic
-        else None,
+        "algebra_isomorphic": report.algebra_isomorphic,
         "grmod_equivalent": {
-            "permutation": list(witness.sigma),
-            "switch_exponents": list(witness.exponents),
-            "lambda_exponents": [list(p) for p in grmod_witness_as_lambdas(witness, a.modulus)],
+            "permutation": witness.sigma,
+            "switch_exponents": witness.exponents,
+            "lambda_exponents": grmod_witness_as_lambdas(witness, a.modulus),
         }
         if witness
         else None,
-        "complexes_isomorphic": list(report.complexes_isomorphic)
-        if report.complexes_isomorphic
-        else None,
-        "facets": [
-            [list(f) for f in report.first_facets.facets],
-            [list(f) for f in report.second_facets.facets],
-        ],
+        "complexes_isomorphic": report.complexes_isomorphic,
+        "facets": [report.first_facets.facets, report.second_facets.facets],
         "dimensions": [report.first_dimension, report.second_dimension],
         "note": report.note,
     }
@@ -232,24 +226,25 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
+    # one Burnside sum per request: a listing is checked against it, and the
+    # two counts are equal (the duality theorem in count_switching_classes)
     if args.brute_force:
         result = brute_force_census(args.modulus, args.n)
         s, t = result.switching_classes, result.eulerian_classes
         reps = result.representatives if args.list else None
+    elif args.list:
+        reps = enumerate_eulerian_representatives(args.modulus, args.n)
+        s = t = len(reps)
     else:
-        # the listing first: its guard refuses sizes whose counts would take long
-        reps = tuple(enumerate_eulerian_representatives(args.modulus, args.n)) if args.list else None
-        s = count_switching_classes(args.modulus, args.n)
-        t = count_eulerian_classes(args.modulus, args.n)
+        s = t = count_switching_classes(args.modulus, args.n)
+        reps = None
     _emit(
         {
             "modulus": args.modulus,
             "size": args.n,
             "switching_classes": s,
             "eulerian_classes": t,
-            "representatives": [[list(row) for row in r.entries] for r in reps]
-            if reps is not None
-            else None,
+            "representatives": [r.entries for r in reps] if reps is not None else None,
         }
     )
     return EXIT_YES

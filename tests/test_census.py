@@ -415,6 +415,13 @@ class TestEnumerateEulerianRepresentatives:
         with pytest.raises(ResourceGuardError, match="orbits of 3! relabelings"):
             enumerate_eulerian_representatives(3_000_000, 3)
 
+    def test_walk_is_checked_against_burnside(self, monkeypatch):
+        # a walk that loses a class is an error, not a short listing
+        walk = census._eulerian_walk
+        monkeypatch.setattr(census, "_eulerian_walk", lambda *args: walk(*args)[1:])
+        with pytest.raises(RuntimeError, match="met 13 classes, the Burnside count is 14"):
+            enumerate_eulerian_representatives(3, 5)
+
 
 class TestCensusResult:
     def test_fields(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import shutil
@@ -16,7 +17,7 @@ import dense_census as D
 import facet_oracle as FO
 import helpers as H
 import skewswitch
-from skewswitch import REFERENCE_TABLES, make, switch
+from skewswitch import REFERENCE_TABLES, census, cli, make, switch
 from skewswitch.cli import EXIT_GUARD, EXIT_NO, EXIT_USAGE, EXIT_YES, run
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -396,6 +397,164 @@ CENSUS_3_4_REPRESENTATIVES = [
     [[0, 0, 1, 2], [0, 0, 1, 2], [2, 2, 0, 2], [1, 1, 1, 0]],
     [[0, 0, 1, 2], [0, 0, 2, 1], [2, 1, 0, 0], [1, 2, 0, 0]],
 ]
+
+# ---- JSON output: one line per document, fixed answers --------------------
+
+CONTRACT_FILES = {
+    "path.txt": "3 4\n0 1 0 0\n2 0 1 0\n0 2 0 1\n0 0 2 0\n",
+    "zero.txt": "3 4\n0 0 0 0\n0 0 0 0\n0 0 0 0\n0 0 0 0\n",
+    # path relabeled by (2, 4, 1, 3)
+    "relabeled.txt": "3 4\n0 0 1 2\n0 0 0 1\n2 0 0 0\n1 2 0 0\n",
+    # relabeled, then switched at vertex 2
+    "moved.txt": "3 4\n0 1 1 2\n2 0 2 0\n2 1 0 0\n1 0 0 0\n",
+}
+PATH_FACETS = [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]
+CENSUS_3_4 = {"modulus": 3, "size": 4, "switching_classes": 4, "eulerian_classes": 4}
+
+# (argv, exit code, parsed document) for each JSON command on the files above
+OUTPUT_CONTRACT = {
+    "switch": (
+        ["switch", "-v", "2", "path.txt"],
+        EXIT_YES,
+        {"modulus": 3, "size": 4, "entries": [[0, 2, 0, 0], [1, 0, 0, 2], [0, 0, 0, 1], [0, 1, 2, 0]]},
+    ),
+    "isolate": (
+        ["isolate", "-v", "3", "path.txt"],
+        EXIT_YES,
+        {"modulus": 3, "size": 4, "entries": [[0, 2, 0, 2], [1, 0, 0, 1], [0, 0, 0, 0], [1, 2, 0, 0]]},
+    ),
+    "eulerize": (
+        ["eulerize", "--explain", "path.txt"],
+        EXIT_YES,
+        {
+            "modulus": 3,
+            "size": 4,
+            "entries": [[0, 0, 2, 1], [0, 0, 1, 2], [1, 2, 0, 0], [2, 1, 0, 0]],
+            "scale": 1,
+            "row_sums": [1, 0, 0, 2],
+            "buckets": {"0": [2, 3], "1": [1], "2": [4]},
+            "exponents": [1, 0, 0, 2],
+        },
+    ),
+    "equiv.yes": (
+        ["equiv", "path.txt", "moved.txt"],
+        EXIT_YES,
+        {"equivalent": True, "permutation": [1, 3, 4, 2], "switch_exponents": [0, 0, 2, 1]},
+    ),
+    "equiv.no": (
+        ["equiv", "path.txt", "zero.txt"],
+        EXIT_NO,
+        {"equivalent": False, "permutation": None, "switch_exponents": None},
+    ),
+    "iso.yes": (["iso", "path.txt", "relabeled.txt"], EXIT_YES, {"isomorphic": True, "permutation": [2, 4, 1, 3]}),
+    "iso.no": (["iso", "path.txt", "moved.txt"], EXIT_NO, {"isomorphic": False, "permutation": None}),
+    "complex": (["complex", "path.txt"], EXIT_YES, {"size": 4, "facets": PATH_FACETS, "dimension": 1}),
+    "complex.components": (
+        ["complex", "--components", "path.txt"],
+        EXIT_YES,
+        {
+            "size": 4,
+            "facets": PATH_FACETS,
+            "dimension": 1,
+            "components": [{"support": f, "projective_dimension": 1} for f in PATH_FACETS],
+        },
+    ),
+    "complex-iso": (
+        ["complex-iso", "path.txt", "moved.txt"],
+        EXIT_YES,
+        {"isomorphic": True, "vertex_bijection": [1, 2, 3, 4], "facets": [PATH_FACETS, PATH_FACETS]},
+    ),
+    "classify": (
+        ["classify", "path.txt", "moved.txt"],
+        EXIT_YES,
+        {
+            "modulus": 3,
+            "sizes": [4, 4],
+            "algebra_isomorphic": None,
+            "grmod_equivalent": {
+                "permutation": [1, 3, 4, 2],
+                "switch_exponents": [0, 0, 2, 1],
+                "lambda_exponents": [[1, 0], [2, 0], [3, 2], [4, 1]],
+            },
+            "complexes_isomorphic": [1, 2, 3, 4],
+            "facets": [PATH_FACETS, PATH_FACETS],
+            "dimensions": [1, 1],
+            "note": None,
+        },
+    ),
+    "census": (
+        ["census", "--modulus", "3", "--n", "4"],
+        EXIT_YES,
+        dict(CENSUS_3_4, representatives=None),
+    ),
+    "census.list": (
+        ["census", "--modulus", "3", "--n", "4", "--list"],
+        EXIT_YES,
+        dict(CENSUS_3_4, representatives=CENSUS_3_4_REPRESENTATIVES),
+    ),
+    "census.brute_force": (
+        ["census", "--modulus", "3", "--n", "4", "--brute-force"],
+        EXIT_YES,
+        dict(CENSUS_3_4, representatives=None),
+    ),
+    "census.brute_force.list": (
+        ["census", "--modulus", "3", "--n", "4", "--brute-force", "--list"],
+        EXIT_YES,
+        dict(CENSUS_3_4, representatives=CENSUS_3_4_REPRESENTATIVES),
+    ),
+}
+
+
+@pytest.fixture
+def contract_dir(tmp_path, monkeypatch):
+    for name, body in CONTRACT_FILES.items():
+        (tmp_path / name).write_text(body, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUT_CONTRACT))
+def test_json_output_is_one_line(contract_dir, capsys, case):
+    argv, code, doc = OUTPUT_CONTRACT[case]
+    assert run(argv) == code
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1, out
+    assert json.loads(out) == doc
+
+
+def test_switch_output_reads_back_as_input(contract_dir, capsys):
+    for source, target in (("path.txt", "switched.json"), ("switched.json", "twice.json")):
+        assert run(["switch", "-v", "2", source]) == EXIT_YES
+        (contract_dir / target).write_text(capsys.readouterr().out, encoding="utf-8")
+    assert run(["equiv", "path.txt", "twice.json"]) == EXIT_YES
+
+
+@pytest.mark.parametrize("case", ["equiv.yes", "equiv.no", "iso.yes", "classify", "complex", "census.list"])
+def test_json_commands_leave_no_cyclic_garbage(contract_dir, capsys, case):
+    argv, code, _ = OUTPUT_CONTRACT[case]
+    gc.collect()
+    gc.disable()  # no automatic collection may hide garbage from the count below
+    try:
+        assert run(argv) == code
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("case", ["census", "census.list", "census.brute_force", "census.brute_force.list"])
+def test_census_runs_one_burnside_sum(monkeypatch, capsys, case):
+    calls = []
+
+    def counted(modulus, size):
+        calls.append((modulus, size))
+        return counter(modulus, size)
+
+    counter = census.count_eulerian_classes
+    monkeypatch.setattr(census, "count_eulerian_classes", counted)
+    monkeypatch.setattr(cli, "count_eulerian_classes", counted)
+    argv, code, doc = OUTPUT_CONTRACT[case]
+    assert run_json(capsys, argv) == (code, doc)
+    assert len(calls) <= 1
 
 
 def test_every_public_name_is_documented_in_readme():
