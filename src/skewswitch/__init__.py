@@ -33,7 +33,6 @@ from .eulerian import (
     is_modular_eulerian,
     row_sum_profile,
 )
-from .modlinalg import IntMatrix, SnfResult, count_solutions_mod, smith_normal_form
 from .pointcomplex import (
     SimplicialComplex,
     complexes_isomorphic,
@@ -67,7 +66,6 @@ __all__ = [
     "CycleType",
     "ENUM_GUARD",
     "EquivWitness",
-    "IntMatrix",
     "NotCoprimeError",
     "ORBIT_GUARD",
     "Permutation",
@@ -76,7 +74,6 @@ __all__ = [
     "RowSumProfile",
     "SimplicialComplex",
     "SkewAlgebraSpec",
-    "SnfResult",
     "SwitchExponents",
     "brute_force_census",
     "canonical_class_form",
@@ -84,7 +81,6 @@ __all__ = [
     "classify_pair",
     "complexes_isomorphic",
     "count_eulerian_classes",
-    "count_solutions_mod",
     "count_switching_classes",
     "cycle_types",
     "dimension",
@@ -99,7 +95,6 @@ __all__ = [
     "make",
     "relabel",
     "row_sum_profile",
-    "smith_normal_form",
     "switch",
     "switch_many",
     "switching_equivalent",

@@ -9,8 +9,10 @@ per self-reversed orbit and one per vertex cycle), and that count depends
 only on the lattice spanned by the system's columns.  So each solve runs
 on a small generating set of that lattice, with one row per distinct cycle
 length and one per even cycle (see _orbit_system).  Solutions are counted
-mod l through the Smith normal form (count_solutions_mod), so prime and
-composite moduli of any size take the same exact route.
+mod l on a diagonal form of that system, reached by unimodular row and
+column operations over the integers (_solutions_mod); the count needs no
+Smith divisibility chain, so prime and composite moduli of any size take
+the same exact route on plain lists.
 
 At small sizes brute_force_census recounts both without Burnside and
 enumerate_eulerian_representatives lists the Eulerian classes, on one
@@ -48,7 +50,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .errors import ResourceGuardError
-from .modlinalg import IntMatrix, count_solutions_mod
 from .skewmat import AltMatrix
 
 __all__ = [
@@ -68,8 +69,9 @@ __all__ = [
 # orbit, for each walk.  A step costs about 0.5-3 us, so the slowest admitted
 # request takes about half a minute (README, Guards).
 ENUM_GUARD = 10**7
-# The counts solve one system per cycle type, p(n) of them, at a few thousand
-# per second: p(35) = 14883 takes about 3 s, and the bound admits n <= 45.
+# cycle_types refuses sizes with more than this many partitions, so the counts,
+# which solve one system per cycle type, do too: p(35) = 14883 takes about 2 s,
+# and the bound admits n <= 45.
 COUNT_GUARD = 10**5
 
 # published class counts for n = 1, 2, ...; "classes" rows are OEIS A002854
@@ -147,9 +149,14 @@ def _partitions(n: int, cap: int) -> Iterator[tuple[int, ...]]:
 
 
 def cycle_types(size: int) -> tuple[CycleType, ...]:
-    """All cycle types of permutations of 1..size with conjugacy class sizes."""
+    """All cycle types of permutations of 1..size with conjugacy class sizes.
+
+    Sizes with more than COUNT_GUARD cycle types are refused with
+    ResourceGuardError before any is built.
+    """
     if size < 1:
         raise ValueError(f"size must be at least 1, got {size}")
+    _check_cycle_types(size, COUNT_GUARD)
     out = []
     for parts in _partitions(size, size):
         centralizer = 1
@@ -169,7 +176,7 @@ def _exact_div(value: int, divisor: int, what: str) -> int:
     return value // divisor
 
 
-def _orbit_system(parts: Sequence[int]) -> tuple[IntMatrix, int]:
+def _orbit_system(parts: Sequence[int]) -> tuple[list[list[int]], int]:
     """Lattice generators and a free exponent for the Eulerian matrices fixed by cycle type `parts`.
 
     A fixed matrix is constant on each orbit of ordered vertex pairs and
@@ -215,25 +222,81 @@ def _orbit_system(parts: Sequence[int]) -> tuple[IntMatrix, int]:
             columns.append({row[p]: q // g, row[q]: -(p // g)})
     merged = len(parts) - len(lengths)
     rows = [[column.get(r, 0) for column in columns] for r in range(len(lengths) + len(evens))]
-    return IntMatrix.from_rows(rows, len(columns)), variables - merged - len(columns)
+    return rows, variables - merged - len(columns)
+
+
+def _least_entry(m: list[list[int]], t: int) -> tuple[int, int] | None:
+    """Position of the first nonzero entry of least size in rows and columns t onward."""
+    best, size = None, 0
+    for i in range(t, len(m)):
+        row = m[i]
+        for j in range(t, len(row)):
+            v = abs(row[j])
+            if v and (best is None or v < size):
+                best, size = (i, j), v
+    return best
+
+
+def _solutions_mod(rows: list[list[int]], modulus: int) -> int:
+    """Number of x in (Z/modulus)^cols with rows . x = 0 (mod modulus).
+
+    Unimodular row and column operations bring the system A to a diagonal
+    D = PAQ.  No divisibility chain among the diagonal entries is needed,
+    as a Smith normal form would have: x -> Q^-1 x is a bijection mod l
+    and P is invertible mod l, so A and D have the same number of
+    solutions mod l.  D x = 0 has gcd(l, d) solutions per diagonal entry d,
+    with gcd(l, 0) = l, and l per column past the diagonal.  Each step
+    moves the least nonzero entry to the pivot and reduces the pivot's row
+    and column by it, until the pivot is the least entry left: then its
+    row and column are clear.  `rows` holds at least one row, which gives
+    the column count, as every system from _orbit_system does.
+    """
+    m = [row[:] for row in rows]
+    cols = len(m[0])
+    count, free = 1, cols
+    for t in range(min(len(m), cols)):
+        pos = _least_entry(m, t)
+        if pos is None:
+            break
+        while True:
+            i, j = pos
+            m[i], m[t] = m[t], m[i]
+            for row in m:
+                row[j], row[t] = row[t], row[j]
+            pivot = m[t]
+            p = pivot[t]
+            for row in m[t + 1 :]:
+                q = row[t] // p
+                if q:
+                    for k in range(t, cols):
+                        row[k] -= q * pivot[k]
+            for k in range(t + 1, cols):
+                q = pivot[k] // p
+                if q:
+                    for row in m[t:]:
+                        row[k] -= q * row[t]
+            if (pos := _least_entry(m, t)) == (t, t):
+                break
+        count *= math.gcd(modulus, m[t][t])
+        free -= 1
+    return modulus**free * count
 
 
 def _fixed_eulerian(parts: Sequence[int], modulus: int) -> int:
     """Eulerian matrices mod `modulus` fixed by a relabeling of cycle type `parts`."""
-    system, free = _orbit_system(parts)
-    return modulus**free * count_solutions_mod(system, modulus)
+    rows, free = _orbit_system(parts)
+    return modulus**free * _solutions_mod(rows, modulus)
 
 
 def count_eulerian_classes(modulus: int, size: int) -> int:
     """Number of isomorphism classes of Eulerian matrices (all row sums zero mod l).
 
     Burnside's lemma over cycle types: the Eulerian matrices fixed by a
-    relabeling are counted on the column lattice of its orbit system,
-    through the Smith normal form.  Sizes with more than COUNT_GUARD cycle
-    types are refused with ResourceGuardError.
+    relabeling are counted on the column lattice of its orbit system, by
+    bringing it to a diagonal form.  Sizes with more than COUNT_GUARD cycle
+    types are refused with ResourceGuardError, by cycle_types.
     """
     _check_args(modulus, size)
-    _check_cycle_types(size, COUNT_GUARD)
     total = sum(ct.class_size * _fixed_eulerian(ct.parts, modulus) for ct in cycle_types(size))
     return _exact_div(total, math.factorial(size), "Burnside sum")
 

@@ -49,6 +49,8 @@ class SimplicialComplex:
     incidence: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"vertex count must be at least 1, got {self.n}")
         incidence = [0] * self.n
         for i, f in enumerate(self.facets):
             if tuple(sorted(f)) != f:

@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from skewswitch import IntMatrix, Permutation, count_solutions_mod, cycle_types
+from skewswitch import Permutation, cycle_types
+from smith_oracle import IntMatrix, count_solutions_mod
 
 
 def _pairs(size: int) -> list[tuple[int, int]]:

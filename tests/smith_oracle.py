@@ -1,11 +1,13 @@
-"""Exact linear algebra over Z/lZ for arbitrary modulus l >= 2.
+"""Integer Smith normal form and solution counts mod l, kept as a test oracle.
 
 Provides integer Smith normal form and exact counting of solutions of
-homogeneous systems A x = 0 (mod l).  The count is what the Burnside sum
-in :mod:`skewswitch.census` consumes.  Every modulus, prime or composite
-and of any size, goes through the Smith normal form: its invariant
-factors are computed over the integers and determine the solution count
-for every modulus at once, so no fixed-width arithmetic is involved.
+homogeneous systems A x = 0 (mod l).  Every count the library published
+before its own diagonal solve (census._solutions_mod) came from here, and
+the tests check that solve, the orbit systems and the dense Burnside route
+of dense_census against it.  Every modulus, prime or composite and of any
+size, goes through the Smith normal form: its invariant factors are
+computed over the integers and determine the solution count for every
+modulus at once, so no fixed-width arithmetic is involved.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from skewswitch import (
     canonical_class_form,
     canonical_iso_form,
     count_eulerian_classes,
-    count_solutions_mod,
     count_switching_classes,
     cycle_types,
     enumerate_eulerian_representatives,
@@ -43,6 +42,7 @@ from skewswitch.census import (
     _pairs,
     _relabelings,
 )
+from smith_oracle import count_solutions_mod
 
 S2_TABLE = (1, 1, 2, 3, 7, 16, 54, 243, 2038, 33120, 1182004)
 S3_TABLE = (1, 1, 2, 4, 14, 120, 3222, 271287, 64154817, 41653775052, 74220906305025)
@@ -85,6 +85,17 @@ class TestCycleTypes:
 
     def test_count_matches_partition_numbers(self):
         assert [len(cycle_types(n)) for n in range(1, 8)] == [1, 2, 3, 5, 7, 11, 15]
+
+    def test_guard_refuses_before_building(self, monkeypatch):
+        # p(46) = 105558 is over COUNT_GUARD and refused at once, however large the size
+        start = time.perf_counter()
+        for n in (46, 100, 10**9):
+            with pytest.raises(ResourceGuardError, match=f"more than {COUNT_GUARD} cycle types"):
+                cycle_types(n)
+        assert time.perf_counter() - start < 0.1
+        # p(45) = 89134 passes the guard; with no partitions to walk nothing is built
+        monkeypatch.setattr(census, "_partitions", lambda n, cap: iter(()))
+        assert cycle_types(45) == ()
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -251,11 +262,11 @@ class TestOrbitSystemAgainstDenseOracle:
         # parts (4, 2, 1): rows for lengths 4, 2, 1 and for the two half orbits;
         # columns for the two half orbits and the three pairs of lengths, out of
         # 7 orbit variables (offsets 1, 2 and 1; gcds 2, 1, 1)
-        system, free = _orbit_system((4, 2, 1))
-        assert (system.rows, system.cols, free) == (3 + 2, 2 + 3, 7 - 5)
+        rows, free = _orbit_system((4, 2, 1))
+        assert (len(rows), {len(row) for row in rows}, free) == (3 + 2, {2 + 3}, 7 - 5)
         # the identity: one merged row and no columns, so l^C(n-1, 2) fixed matrices
-        system, free = _orbit_system((1,) * 12)
-        assert (system.rows, system.cols, free) == (1, 0, math.comb(11, 2))
+        rows, free = _orbit_system((1,) * 12)
+        assert (rows, free) == ([[]], math.comb(11, 2))
 
     def test_whole_counts(self):
         for modulus in range(2, 13):

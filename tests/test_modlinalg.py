@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Smith normal form and solution counting."""
+"""Exact integer linear algebra: the Smith-form oracle and the census's diagonal solve."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewswitch import IntMatrix, count_solutions_mod, smith_normal_form
+from skewswitch.census import _solutions_mod
+from smith_oracle import IntMatrix, count_solutions_mod, smith_normal_form
 
 
 @st.composite
@@ -144,3 +145,24 @@ class TestIntMatrix:
     def test_cols_mismatch_rejected(self):
         with pytest.raises(ValueError):
             IntMatrix.from_rows([[1, 2]], cols=3)
+
+
+class TestDiagonalSolve:
+    """census._solutions_mod stops at a diagonal form; the Smith form is its oracle."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(small_matrices(), st.sampled_from([*range(2, 13), 4294967311]))
+    def test_matches_smith_oracle(self, a, modulus):
+        # a zero row constrains nothing, and the solve takes at least one row
+        rows = [list(row) for row in a.entries] or [[0] * a.cols]
+        assert _solutions_mod(rows, modulus) == count_solutions_mod(a, modulus)
+
+    def test_diagonal_that_is_not_a_smith_form(self):
+        # diag(2, 3) has Smith form diag(1, 6): gcds 2 * 3 and 1 * 6 at l = 6, 2 * 1 and 1 * 2 at l = 4
+        rows = [[2, 0], [0, 3]]
+        assert smith_normal_form(IntMatrix.from_rows(rows)).diagonal == (1, 6)
+        assert _solutions_mod(rows, 6) == 6
+        assert _solutions_mod(rows, 4) == 2
+        # the same lattice before any diagonal is reached, and with a column to spare
+        assert _solutions_mod([[2, 2], [0, 3]], 6) == 6
+        assert _solutions_mod([[4, 0, 0], [0, 6, 0]], 12) == 4 * 6 * 12

@@ -65,6 +65,12 @@ class TestSimplicialComplexValidation:
         with pytest.raises(ValueError):
             SimplicialComplex(3, ((1, 2, 4),))
 
+    def test_no_vertices_rejected(self):
+        # an empty complex has no dimension, and two of them are not an isomorphism question
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=f"vertex count must be at least 1, got {n}"):
+                SimplicialComplex(n, ())
+
     def test_repeated_vertex_rejected(self):
         # (1, 1, 2) is sorted, but it is the edge {1, 2}, not a 2-simplex
         with pytest.raises(ValueError, match=r"facet \(1, 1, 2\) repeats a vertex"):
