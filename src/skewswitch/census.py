@@ -36,8 +36,9 @@ the whole orbit, marks the code of every image, and keeps the least.
   u = tau^-1(1).  So the orbits are the switching classes, met once each,
   and the least image is the class's canonical_class_form.
 
-ENUM_GUARD bounds the work: the codes scanned plus n! images per orbit,
-for each walk.  Both walks and the counts run on the standard library.
+ENUM_GUARD (defined in skewmat, where it also bounds the searches) bounds
+the work: the codes scanned plus n! images per orbit, for each walk.  Both
+walks and the counts run on the standard library.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .errors import ResourceGuardError
-from .skewmat import AltMatrix
+from .skewmat import ENUM_GUARD, AltMatrix
 
 __all__ = [
     "COUNT_GUARD",
@@ -65,10 +66,6 @@ __all__ = [
     "enumerate_eulerian_representatives",
 ]
 
-# Steps of the orbit walks: l^C(n-1,2) codes scanned plus n! images per
-# orbit, for each walk.  A step costs about 0.5-3 us, so the slowest admitted
-# request takes about half a minute (README, Guards).
-ENUM_GUARD = 10**7
 # cycle_types refuses sizes with more than this many partitions, so the counts,
 # which solve one system per cycle type, do too: p(35) = 14883 takes about 2 s,
 # and the bound admits n <= 45.

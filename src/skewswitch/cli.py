@@ -45,10 +45,11 @@ def _json_int(value: object, what: str) -> int:
 
 
 def _text_int(token: str, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"{what} must be an integer, got {token!r}") from None
+    # int() alone would also read 1_0 and the digits of other scripts
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{what} must be an integer, got {token!r}")
+    return int(token)
 
 
 def _load_matrix(path: str) -> AltMatrix:
@@ -83,13 +84,14 @@ def _load_matrix(path: str) -> AltMatrix:
         raise ValueError(f"{path}: expected {size} rows, found {len(lines) - 1}")
     grid = []
     for i, ln in enumerate(lines[1:], start=1):
-        try:
-            grid.append([int(tok) for tok in ln.split()])
-        except ValueError:
-            # the per-token scan only finds the cell to name
-            for j, tok in enumerate(ln.split(), start=1):
-                _text_int(tok, f"{path}: entry ({i}, {j})")
-            raise
+        # int() reads just the literals _text_int accepts on ASCII rows without "_"
+        if ln.isascii() and "_" not in ln:
+            try:
+                grid.append([int(tok) for tok in ln.split()])
+                continue
+            except ValueError:
+                pass
+        grid.append([_text_int(tok, f"{path}: entry ({i}, {j})") for j, tok in enumerate(ln.split(), start=1)])
     return make(modulus, size, grid)
 
 

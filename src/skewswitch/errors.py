@@ -10,4 +10,4 @@ class NotCoprimeError(ValueError):
 
 
 class ResourceGuardError(RuntimeError):
-    """Raised when an enumeration would exceed its configured size guard."""
+    """Raised when a walk or search would exceed its configured size guard."""

@@ -12,7 +12,8 @@ face s carries ext(s), the mask of vertices that extend it, and
 because s + w + u is a face exactly when s + w and s + u are and every
 triple (x, w, u) with x in s sums to zero.  Faces grow in increasing
 vertex order, so each is visited once, and s is a facet when ext(s) is
-empty.
+empty.  The search runs on an explicit stack and counts its steps against
+ENUM_GUARD, so a complex with too many faces is refused, not grown.
 
 A complex keeps one facet-incidence mask per vertex (bit i set when the
 vertex lies in facet i).  Validation reads containment off them, and
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .skewmat import AltMatrix, Permutation, _check_search_depth, _extend_isomorphism
+from .skewmat import ENUM_GUARD, AltMatrix, Permutation, _extend_isomorphism, _over_bound
 
 __all__ = [
     "SimplicialComplex",
@@ -78,37 +79,39 @@ class SimplicialComplex:
         object.__setattr__(self, "incidence", tuple(incidence))
 
 
-# The face search recurses through a module-level function rather than a
-# nested one: a nested function that calls itself is a reference cycle,
-# which keeps its data alive until the next full garbage collection.
-
-
-def _grow(zero: list[list[int]], out: list[tuple[int, ...]], s: tuple[int, ...], ext: int, start: int) -> None:
-    if not ext:
-        out.append(s)
-        return
-    todo = ext >> start << start
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        w = low.bit_length() - 1
-        t = s + (w,)
-        child = ext ^ low
-        for x in t:
-            child &= zero[x][w]
-        _grow(zero, out, t, child, w + 1)
-
-
 def _maximal_sets(zero: list[list[int]]) -> list[tuple[int, ...]]:
     """Maximal sets of 0-indexed vertices grown on the mask table `zero`, in lex order.
 
     The family must be hereditary, and s + w + u must belong to it exactly
     when s + w and s + u do and u lies in zero[x][w] for every x in s + w.
+    It descends in place from the face s with extenders ext, todo of them
+    above its last vertex, and stacks the parent's todo only to enter a
+    child with todo of its own.  A face of d vertices costs max(d, 1) steps,
+    charged when its parent is entered, since every child is visited.
     """
-    _check_search_depth(len(zero))
-    out: list[tuple[int, ...]] = []
-    _grow(zero, out, (), (1 << len(zero)) - 1, 0)
-    return out
+    n, out, stack = len(zero), [], []
+    s, ext = (), (1 << n) - 1
+    todo, steps = ext, 1 + n
+    while True:
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            w = low.bit_length() - 1
+            t = s + (w,)
+            child = ext ^ low
+            for x in t:
+                child &= zero[x][w]
+            if not child:
+                out.append(t)
+            elif child >> w + 1:
+                stack.append((s, ext, todo))
+                s, ext, todo = t, child, child >> w + 1 << w + 1
+                steps += (len(t) + 1) * todo.bit_count()
+                if steps > ENUM_GUARD:
+                    raise _over_bound("face search", n)
+        if not stack:
+            return out
+        s, ext, todo = stack.pop()
 
 
 def _zero_triple_masks(m: AltMatrix) -> list[list[int]]:
@@ -171,9 +174,7 @@ def complexes_isomorphic(c: SimplicialComplex, cp: SimplicialComplex) -> Permuta
     and pairwise co-facet counts, all read off the facet-incidence masks;
     the lex-first bijection is returned.
     """
-    if c.n != cp.n or len(c.facets) != len(cp.facets):
-        return None
-    if sorted(len(f) for f in c.facets) != sorted(len(f) for f in cp.facets):
+    if c.n != cp.n or sorted(len(f) for f in c.facets) != sorted(len(f) for f in cp.facets):
         return None
     n = c.n
     sizes = sorted({len(f) for f in c.facets})
@@ -188,5 +189,4 @@ def complexes_isomorphic(c: SimplicialComplex, cp: SimplicialComplex) -> Permuta
     def maps_facets_onto_facets(sigma: Permutation) -> bool:
         return {tuple(sorted([sigma[v - 1] for v in f])) for f in c.facets} == target
 
-    _check_search_depth(n)
-    return _extend_isomorphism(_codegrees(c), _codegrees(cp), candidates, [], set(), maps_facets_onto_facets)
+    return _extend_isomorphism(_codegrees(c), _codegrees(cp), candidates, [0], maps_facets_onto_facets)

@@ -13,7 +13,8 @@ when isolate(M, 1) is isomorphic to isolate(M', v) for some v.  So
 one least-relabeling search.  The same backtracker also compares point
 complexes (pointcomplex.complexes_isomorphic): it runs on their co-degree
 tables, and a leaf check accepts a bijection only when it carries facets
-onto facets.
+onto facets.  Both searches run on explicit stacks, and each public call
+counts their steps in one list, spent = [steps], against ENUM_GUARD.
 
 The equivalence decision prunes that search with vertex profiles.  The
 profile P_v(M) counts the entries of isolate(M, v) in each folded class
@@ -30,7 +31,6 @@ comparing those multisets.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -55,6 +55,10 @@ __all__ = [
 # permutations are tuples of 1-indexed images: sigma[i-1] is the image of i
 Permutation = tuple[int, ...]
 SwitchExponents = tuple[int, ...]
+
+# Steps of the walks (census) or the searches (here, pointcomplex) of one
+# public call; README, Guards, says what a step is and what the bound admits.
+ENUM_GUARD = 10**7
 
 # Hot tuples are built from lists, tuple([...]), not from generators: tuple()
 # of a generator starts from a guessed size, so each freed result lands on
@@ -250,21 +254,20 @@ def switching_equivalent(m: AltMatrix, mp: AltMatrix) -> EquivWitness | None:
     so c_1 = 0.  The witness is verified before it is returned.
     """
     _check_compatible(m, mp)
-    # refuse a search too deep to run before paying for the profiles
-    _check_search_depth(m.size)
     profiles, target = _vertex_profiles(m), _vertex_profiles(mp)
     if sorted(profiles) != sorted(target):
         return None
     l, n = m.modulus, m.size
     a = _isolating_exponents(m, 1)
     base = switch_many(m, a)
+    spent = [0]  # steps of every search below
     for v in range(1, n + 1):
         if target[v - 1] != profiles[0]:
             # isomorphic isolations have the same entries, so no witness here
             continue
         b = _isolating_exponents(mp, v)
         # the witness check below covers the isomorphism, so the search runs unchecked
-        sigma = _isomorphism(base, switch_many(mp, b))
+        sigma = _isomorphism(base, switch_many(mp, b), spent)
         if sigma is None:
             continue
         c = [a[i] - b[sigma[i] - 1] for i in range(n)]
@@ -283,13 +286,13 @@ def isomorphic(m: AltMatrix, mp: AltMatrix) -> Permutation | None:
     The permutation is checked with relabel before it is returned.
     """
     _check_compatible(m, mp)
-    sigma = _isomorphism(m, mp)
+    sigma = _isomorphism(m, mp, [0])
     if sigma is not None and relabel(m, sigma) != mp:
         raise RuntimeError(f"isomorphism {sigma} failed verification")
     return sigma
 
 
-def _isomorphism(m: AltMatrix, mp: AltMatrix) -> Permutation | None:
+def _isomorphism(m: AltMatrix, mp: AltMatrix, spent: list[int]) -> Permutation | None:
     rows_m = [tuple(sorted(row)) for row in m.entries]
     rows_p = [tuple(sorted(row)) for row in mp.entries]
     if sorted(rows_m) != sorted(rows_p):
@@ -298,98 +301,94 @@ def _isomorphism(m: AltMatrix, mp: AltMatrix) -> Permutation | None:
     for c, row in enumerate(rows_p):
         by_row.setdefault(row, []).append(c)
     candidates = [by_row[row] for row in rows_m]
-    _check_search_depth(m.size)
-    return _extend_isomorphism(m.entries, mp.entries, candidates, [], set())
+    return _extend_isomorphism(m.entries, mp.entries, candidates, spent)
 
 
-# The searches recurse through module-level functions rather than nested
-# ones: a nested function that calls itself is a reference cycle, which
-# keeps its matrices alive until the next full garbage collection.
-
-# frames a search adds beyond one per vertex: its entry, the leaf call, a leaf check
-_SEARCH_FRAMES = 8
+def _over_bound(search: str, n: int) -> ResourceGuardError:
+    return ResourceGuardError(f"the {search} over {n} vertices takes more than ENUM_GUARD = {ENUM_GUARD} steps")
 
 
-def _check_search_depth(n: int) -> None:
-    """Refuse, before it starts, a search nesting n calls that the recursion limit would cut short."""
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    limit = sys.getrecursionlimit()
-    if n > limit - depth - _SEARCH_FRAMES:
-        raise ResourceGuardError(
-            f"a search over {n} vertices nests {n} calls, over the "
-            f"{limit - depth - _SEARCH_FRAMES} that the recursion limit {limit} leaves"
-        )
+def _extend_isomorphism(me, pe, candidates, spent: list[int], accept=None) -> Permutation | None:
+    """First bijection, in lex order, with pe[sigma(i)][sigma(j)] == me[i][j] for all i < j.
 
-
-def _extend_isomorphism(me, pe, candidates, image: list[int], used: set[int], accept=None) -> Permutation | None:
-    """First bijection, in lex order, with pe[image[i]][image[j]] == me[i][j] for all i < j.
-
-    candidates[k] lists the 0-indexed images allowed for vertex k + 1.  A
-    full bijection is returned, 1-indexed, when accept is None or
-    accept(sigma) holds; otherwise the search goes on.
+    candidates[k] lists the 0-indexed images allowed for vertex k + 1, and
+    stack[k] iterates over those not yet tried.  A full bijection is
+    returned, 1-indexed, when accept is None or accept(sigma) holds;
+    otherwise the search goes on.  Each image tried adds max(k, 1) to spent[0].
     """
-    k = len(image)
-    if k == len(me):
-        sigma = tuple([c + 1 for c in image])
-        return sigma if accept is None or accept(sigma) else None
-    for c in candidates[k]:
-        if c in used or any(pe[image[i]][c] != me[i][k] for i in range(k)):
+    n, image, used, stack = len(me), [], set(), [iter(candidates[0])]
+    while stack:
+        k = len(image)
+        for c in stack[-1]:
+            if c in used:
+                continue
+            spent[0] += k or 1
+            if spent[0] > ENUM_GUARD:
+                raise _over_bound("isomorphism search", n)
+            if not any(pe[image[i]][c] != me[i][k] for i in range(k)):
+                break
+        else:
+            stack.pop()
+            if image:
+                used.discard(image.pop())
             continue
         image.append(c)
         used.add(c)
-        sigma = _extend_isomorphism(me, pe, candidates, image, used, accept)
-        if sigma is not None:
-            return sigma
-        image.pop()
-        used.discard(c)
+        if k + 1 < n:
+            stack.append(iter(candidates[k + 1]))
+        elif accept is None or accept(tuple([x + 1 for x in image])):
+            return tuple([x + 1 for x in image])
+        else:
+            used.discard(image.pop())
     return None
 
 
-def _least_relabeling(m: AltMatrix, first: int) -> tuple[tuple[int, ...], ...]:
+def _least_relabeling(m: AltMatrix, first: int, spent: list[int]) -> tuple[tuple[int, ...], ...]:
     """Rows of the row-major least relabeling of m that puts `first` at position 1.
 
     Rows are fixed one at a time.  The unplaced vertices sit in an ordered
     partition, sorted by their entries in the rows placed so far; a least
     relabeling keeps that order, so choosing the vertex for position k
     among the first cell fixes row k.  Branches whose row exceeds the
-    incumbent's are cut; ties are explored.
+    incumbent's are cut; ties are explored.  stack[k] iterates over the
+    candidates left for position k + 2.  A node reads a row: n to spent[0].
     """
-    _check_search_depth(m.size)
-    best: list[list[int]] = []
-    _place(m.entries, best, [], first - 1, [[u for u in range(m.size) if u != first - 1]])
-    return tuple([tuple(row) for row in best])
-
-
-def _place(e, best: list[list[int]], placed: list[int], v: int, cells: list[list[int]]) -> None:
-    # v takes position k; best holds the incumbent's rows (lists, for the
-    # free-list reason above), and its first k rows equal the branch's
-    k = len(placed)
-    refined: list[list[int]] = []
-    for cell in cells:
-        by_value: dict[int, list[int]] = {}
-        for u in cell:
-            by_value.setdefault(e[v][u], []).append(u)
-        refined += (by_value[x] for x in sorted(by_value))
-    row = [e[v][u] for u in placed] + [0] + [e[v][u] for cell in refined for u in cell]
-    if k < len(best):
-        if row > best[k]:
-            return
-        if row < best[k]:
-            del best[k:]
-    if k == len(best):
-        best.append(row)
-    if refined:
-        head, rest = refined[0], refined[1:]
-        for u in head:
-            others = [w for w in head if w != u]
-            _place(e, best, placed + [v], u, [others] + rest if others else rest)
+    e, n = m.entries, m.size
+    # best holds the incumbent's rows (lists, for the free-list reason above),
+    # and its first k rows equal the branch's
+    best, placed, stack = [], [], []
+    v, cells = first - 1, [[u for u in range(n) if u != first - 1]]
+    while True:
+        spent[0] += n
+        if spent[0] > ENUM_GUARD:
+            raise _over_bound("canonical-form search", n)
+        k = len(placed)
+        refined: list[list[int]] = []
+        for cell in cells:
+            by_value: dict[int, list[int]] = {}
+            for u in cell:
+                by_value.setdefault(e[v][u], []).append(u)
+            refined += (by_value[x] for x in sorted(by_value))
+        row = [e[v][u] for u in placed] + [0] + [e[v][u] for cell in refined for u in cell]
+        if k == len(best) or row < best[k]:
+            best[k:] = [row]
+        if refined and row == best[k]:
+            placed.append(v)
+            stack.append((iter(refined[0]), refined[0], refined[1:]))
+        while stack and (v := next(stack[-1][0], -1)) < 0:
+            stack.pop()
+            placed.pop()
+        if not stack:
+            return tuple([tuple(row) for row in best])
+        _, head, rest = stack[-1]
+        others = [w for w in head if w != v]
+        cells = [others] + rest if others else rest
 
 
 def canonical_iso_form(m: AltMatrix) -> AltMatrix:
     """Lexicographically smallest relabeling (row-major order); complete for isomorphism."""
-    rows = min(_least_relabeling(m, v) for v in range(1, m.size + 1))
+    spent = [0]
+    rows = min(_least_relabeling(m, v, spent) for v in range(1, m.size + 1))
     return AltMatrix(m.modulus, m.size, rows)
 
 
@@ -402,7 +401,8 @@ def canonical_class_form(m: AltMatrix) -> AltMatrix:
     switching and a relabeling between m and m'.  Vertex 1 of the result
     is isolated.
     """
-    rows = min(_least_relabeling(isolate(m, v), v) for v in range(1, m.size + 1))
+    spent = [0]
+    rows = min(_least_relabeling(isolate(m, v), v, spent) for v in range(1, m.size + 1))
     return AltMatrix(m.modulus, m.size, rows)
 
 

@@ -87,6 +87,13 @@ class TestMatrixFiles:
             ("3 2\n0 1\nx 0\n", "entry (2, 1)"),
             ("3 x\n0 1\n2 0\n", "header size"),
             ("3.0 2\n0 1\n2 0\n", "header modulus"),
+            # int() alone reads these as 10, 1, 2 and 3; the format takes a sign and ASCII digits only
+            ("3 2\n0 1_0\n2 0\n", "entry (1, 2)"),
+            ("3 2\n0 \u0661\n2 0\n", "entry (1, 2)"),
+            ("3 \u0662\n0 1\n2 0\n", "header size"),
+            ("3_0 2\n0 1\n2 0\n", "header modulus"),
+            ("3 2\n0 1\n\uff12 0\n", "entry (2, 1)"),
+            ("3 2\n0 +\n2 0\n", "entry (1, 2)"),
         ],
         ids=[
             "float",
@@ -99,6 +106,12 @@ class TestMatrixFiles:
             "text-word",
             "text-header-size",
             "text-header-modulus",
+            "text-underscore",
+            "text-arabic-indic-digit",
+            "text-header-arabic-indic-digit",
+            "text-header-underscore",
+            "text-fullwidth-digit",
+            "text-bare-sign",
         ],
     )
     def test_json_values_must_be_integers(self, tmp_path, capsys, doc, where):
@@ -107,6 +120,13 @@ class TestMatrixFiles:
         assert run(["switch", "-v", "1", str(p)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert f"{p}: {where} must be" in err
+
+    def test_text_signs_and_unicode_spaces_accepted(self, tmp_path, capsys):
+        p = tmp_path / "signed.txt"
+        p.write_text("+3 2\n0\u00a0+1\n-1 0\n", encoding="utf-8")
+        code, doc = run_json(capsys, ["switch", "-v", "1", str(p)])
+        assert code == EXIT_YES
+        assert doc["entries"] == [[0, 0], [0, 0]]
 
     def test_usage_error(self, capsys):
         assert run(["switch"]) == EXIT_USAGE
@@ -626,7 +646,10 @@ def test_enumerations_without_numpy_refuse(tmp_path, argv, code):
 
 
 class TestDeepSearchRefusal:
-    """Searches recurse once per vertex; past the recursion limit they refuse with exit 3."""
+    """Searches count steps, not depth: at 1100 vertices the face search refuses, the switching calculus answers.
+
+    iso answers there too (tests/test_skewmat.py), and CI runs the iso and equiv commands on it.
+    """
 
     @pytest.fixture(scope="class")
     def zero_1100(self, tmp_path_factory):
@@ -635,14 +658,16 @@ class TestDeepSearchRefusal:
         path.write_text("3 1100\n" + "\n".join([row] * 1100) + "\n", encoding="utf-8")
         return str(path)
 
-    @pytest.mark.parametrize("command", ["complex", "iso", "equiv"])
+    # every subset of the zero matrix is a face, so the search trips ENUM_GUARD
+    @pytest.mark.parametrize("command", ["complex"])
     def test_search_refused(self, capsys, zero_1100, command):
-        files = [zero_1100] * (1 if command == "complex" else 2)
-        assert run([command, *files]) == EXIT_GUARD
+        start = time.perf_counter()
+        assert run([command, zero_1100]) == EXIT_GUARD
+        assert time.perf_counter() - start < 2.0
         captured = capsys.readouterr()
         assert captured.out == ""
         [line] = captured.err.splitlines()
-        assert line.startswith("error: ") and "recursion limit" in line
+        assert line.startswith("error: ") and "face search over 1100 vertices" in line and "ENUM_GUARD" in line
 
     @pytest.mark.parametrize("argv", [["switch", "-v", "1"], ["eulerize"]])
     def test_switching_answers(self, capsys, zero_1100, argv):

@@ -15,8 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 import facet_oracle as FO
 import helpers as H
+import search_oracle as SO
 from facet_oracle import facets_via_isolations, independence_number, is_face
 from skewswitch import (
+    ResourceGuardError,
     SimplicialComplex,
     complexes_isomorphic,
     dimension,
@@ -26,6 +28,7 @@ from skewswitch import (
     relabel,
     switch,
 )
+from skewswitch import pointcomplex
 from skewswitch.cli import EXIT_YES, run
 from skewswitch.pointcomplex import _maximal_sets, _zero_triple_masks
 
@@ -407,3 +410,51 @@ class TestComplexIsomorphismAgainstOracle:
             assert got == FO.complexes_isomorphic(c, cp)
             found += got is not None
         assert found > 100  # the relabeled and switched pairs, at least
+
+
+class TestSearchesAgainstRecursiveOracle:
+    """The explicit-stack face and bijection searches visit nodes as the recursive oracle does."""
+
+    @staticmethod
+    def assert_same_bijection(c, cp):
+        shipped = complexes_isomorphic(c, cp)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pointcomplex, "_extend_isomorphism", SO.extend_isomorphism)
+            assert complexes_isomorphic(c, cp) == shipped
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(matrices(), st.randoms(use_true_random=False))
+    def test_property_cases(self, m, rng):
+        zero = _zero_triple_masks(m)
+        assert _maximal_sets(zero) == SO._maximal_sets(zero)
+        sigma = H.random_permutation(rng, m.size)
+        self.assert_same_bijection(facets(m), facets(relabel(switch(m, rng.randrange(m.size) + 1), sigma)))
+        self.assert_same_bijection(facets(m), facets(H.random_alt(rng, m.modulus, m.size)))
+
+    def test_fixed_cases(self):
+        # relabeled, switched and random pairs, Paley pairs and the displays, through the leaf check
+        for c, cp in complex_pairs():
+            self.assert_same_bijection(c, cp)
+        paley = [H.paley(p, 2) for p in (5, 13, 17, 29, 37, 41)] + [H.paley(p, 3) for p in (3, 7, 11, 19, 23, 31, 43)]
+        for m in [*oracle_cases(), *paley, *(H.zero(3, n) for n in range(1, 9))]:
+            zero = _zero_triple_masks(m)
+            assert _maximal_sets(zero) == SO._maximal_sets(zero)
+
+
+class TestFaceSearchBound:
+    """The face search visits every face; on zero(3, n), n 2^(n-1) + 1 steps against ENUM_GUARD."""
+
+    def test_nineteen_vertices_answer(self):
+        assert facets(H.zero(3, 19)).facets == (tuple(range(1, 20)),)
+
+    def test_twenty_vertices_refuse(self):
+        with pytest.raises(ResourceGuardError, match="face search over 20 vertices .* ENUM_GUARD"):
+            facets(H.zero(3, 20))
+
+    def test_charge_is_exact(self, monkeypatch):
+        zero = _zero_triple_masks(H.zero(3, 8))
+        monkeypatch.setattr(pointcomplex, "ENUM_GUARD", 8 * 2**7 + 1)
+        assert _maximal_sets(zero) == [tuple(range(8))]
+        monkeypatch.setattr(pointcomplex, "ENUM_GUARD", 8 * 2**7)
+        with pytest.raises(ResourceGuardError):
+            _maximal_sets(zero)

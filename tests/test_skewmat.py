@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-import sys
 import time
 from collections import Counter
 from itertools import combinations, permutations, product
@@ -12,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers as H
+import search_oracle as SO
 import triple_route as T
 from skewswitch import (
     AltMatrix,
@@ -19,9 +19,7 @@ from skewswitch import (
     ResourceGuardError,
     canonical_class_form,
     canonical_iso_form,
-    complexes_isomorphic,
     count_switching_classes,
-    facets,
     isolate,
     isomorphic,
     make,
@@ -605,38 +603,86 @@ class TestIsolate:
         assert H.arcs_of(isolate(fan, 3)) == set(H.FAN_4_ISOLATION_3)
 
 
-class TestSearchDepthRefusal:
-    def test_every_search_refuses_before_it_starts(self, monkeypatch):
-        # a reserve as large as the recursion limit leaves no room for any search
-        m = H.random_alt(random.Random(5), 3, 6)
-        cx = facets(m)
-        monkeypatch.setattr(skewmat, "_SEARCH_FRAMES", sys.getrecursionlimit())
-        searches = {
-            "isomorphic": lambda: isomorphic(m, m),
-            "switching_equivalent": lambda: switching_equivalent(m, m),
-            "canonical_iso_form": lambda: canonical_iso_form(m),
-            "canonical_class_form": lambda: canonical_class_form(m),
-            "facets": lambda: facets(m),
-            "complexes_isomorphic": lambda: complexes_isomorphic(cx, cx),
-        }
-        for name, search in searches.items():
-            with pytest.raises(ResourceGuardError, match="recursion limit"):
-                search()
-        # the switching calculus does not search
-        assert switch(isolate(m, 2), 3).size == 6
+class TestSearchesAgainstRecursiveOracle:
+    """The explicit-stack searches visit nodes as the recursive oracle does, so they answer alike."""
 
-    def test_equivalence_refuses_before_profiling(self):
-        # the vertex profiles of two 1100-vertex matrices take seconds; the
-        # depth check comes first, so the refusal is at once
-        z = H.zero(3, 1100)
+    @staticmethod
+    def assert_same_answers(m, iso_target, equiv_target):
+        shipped = (isomorphic(m, iso_target), switching_equivalent(m, equiv_target))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(skewmat, "_extend_isomorphism", SO.extend_isomorphism)
+            assert (isomorphic(m, iso_target), switching_equivalent(m, equiv_target)) == shipped
+
+    @staticmethod
+    def assert_same_rows(m, firsts):
+        # the rows of both canonical forms: least relabelings of m and of its isolations
+        for v in firsts:
+            assert skewmat._least_relabeling(m, v, [0]) == SO._least_relabeling(m, v)
+            assert skewmat._least_relabeling(isolate(m, v), v, [0]) == SO._least_relabeling(isolate(m, v), v)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(matrices(), st.randoms(use_true_random=False))
+    def test_property_cases(self, m, rng):
+        sigma = H.random_permutation(rng, m.size)
+        switched = relabel(switch_many(m, [rng.randrange(m.modulus) for _ in range(m.size)]), sigma)
+        self.assert_same_answers(m, relabel(m, sigma), switched)
+        other = H.random_alt(rng, m.modulus, m.size)
+        self.assert_same_answers(m, other, other)
+        self.assert_same_rows(m, range(1, m.size + 1))
+
+    @pytest.mark.parametrize("p, modulus", [*((p, 2) for p in (5, 13, 17, 29, 37, 41)), *((p, 3) for p in (3, 7, 11, 19, 23, 31, 43))])
+    def test_paley(self, p, modulus):
+        rng = random.Random(p)
+        m = H.paley(p, modulus)
+        sigma = H.random_permutation(rng, p)
+        switched = relabel(switch_many(m, [rng.randrange(modulus) for _ in range(p)]), sigma)
+        self.assert_same_answers(m, relabel(m, sigma), switched)
+        if p <= 31:  # above that, comparing the rows takes 0.2 s or more per prime
+            self.assert_same_rows(m, [1])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_zero(self, n):
+        z = H.zero(3, n)
+        self.assert_same_answers(z, z, z)
+        self.assert_same_rows(z, [1])
+
+
+class TestWorkBound:
+    """Each search counts its steps against ENUM_GUARD, per public call, however deep it goes.
+
+    The 1100-vertex equiv answers too, in seconds; CI runs it.
+    """
+
+    @pytest.fixture(scope="class")
+    def zero_1100(self):
+        return H.zero(3, 1100)
+
+    def test_straight_descent_answers_deep(self, zero_1100):
+        assert isomorphic(zero_1100, zero_1100) == tuple(range(1, 1101))
+
+    @pytest.mark.parametrize("form", [canonical_iso_form, canonical_class_form])
+    def test_canonical_forms_refuse_deep(self, zero_1100, form):
         start = time.perf_counter()
-        with pytest.raises(ResourceGuardError, match="recursion limit"):
-            switching_equivalent(z, z)
-        assert time.perf_counter() - start < 1.0
+        with pytest.raises(ResourceGuardError, match="canonical-form search over 1100 vertices .* ENUM_GUARD"):
+            form(zero_1100)
+        assert time.perf_counter() - start < 2.0
 
-    def test_room_counts_the_frames_on_the_stack(self):
-        # the zero matrix nests one call per vertex in every search
-        limit = sys.getrecursionlimit()
-        assert isomorphic(H.zero(3, limit // 2), H.zero(3, limit // 2)) is not None
-        with pytest.raises(ResourceGuardError, match=f"recursion limit {limit}"):
-            isomorphic(H.zero(3, limit), H.zero(3, limit))
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    def test_straight_descent_costs(self, n):
+        # the zero matrix places each vertex at its first try: 1 + 1 + 2 + ... + (n - 1) steps
+        spent = [0]
+        assert skewmat._isomorphism(H.zero(3, n), H.zero(3, n), spent) == tuple(range(1, n + 1))
+        assert spent[0] == 1 + n * (n - 1) // 2
+
+    def test_first_vertex_searches_share_the_bound(self, monkeypatch):
+        # on zero(3, 6) each first-vertex search visits all 326 ordered
+        # prefixes of the other five vertices, at 6 steps a node
+        z = H.zero(3, 6)
+        spent = [0]
+        rows = skewmat._least_relabeling(z, 1, spent)
+        assert spent[0] == 326 * 6
+        monkeypatch.setattr(skewmat, "ENUM_GUARD", 2 * spent[0])
+        assert skewmat._least_relabeling(z, 1, [0]) == rows
+        for form in (canonical_iso_form, canonical_class_form):
+            with pytest.raises(ResourceGuardError, match=f"over 6 vertices .* ENUM_GUARD = {2 * 326 * 6} steps"):
+                form(z)

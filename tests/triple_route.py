@@ -60,7 +60,7 @@ def switching_equivalent_unfiltered(m: AltMatrix, mp: AltMatrix) -> EquivWitness
     base = switch_many(m, a)
     for v in range(1, n + 1):
         b = _isolating_exponents(mp, v)
-        sigma = _isomorphism(base, switch_many(mp, b))
+        sigma = _isomorphism(base, switch_many(mp, b), [0])
         if sigma is None:
             continue
         c = [a[i] - b[sigma[i] - 1] for i in range(n)]
