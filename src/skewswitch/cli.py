@@ -6,6 +6,9 @@ Verdict subcommands use the exit code for the mathematical answer so that
 shell pipelines can branch on it: 0 yes, 10 no, 2 bad input or usage,
 3 resource guard tripped.  `tables --check` answers 10 when a recomputed
 table differs from its published copy.
+
+Each handler imports the library modules it runs, so that a call loads only
+what its command needs: start-up is most of the cost of a small request.
 """
 
 from __future__ import annotations
@@ -14,20 +17,12 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .algfrontend import SkewAlgebraSpec, classify_pair, grmod_witness_as_lambdas
-from .census import (
-    REFERENCE_TABLES,
-    brute_force_census,
-    count_eulerian_classes,
-    count_switching_classes,
-    enumerate_eulerian_representatives,
-)
 from .errors import ResourceGuardError
-from .eulerian import eulerize, row_sum_profile
-from .pointcomplex import complexes_isomorphic, dimension, facets
-from .skewmat import AltMatrix, isolate, isomorphic, make, switch, switching_equivalent
+
+if TYPE_CHECKING:
+    from .skewmat import AltMatrix
 
 __all__ = ["run", "main"]
 
@@ -53,9 +48,14 @@ def _text_int(token: str, what: str) -> int:
 
 
 def _load_matrix(path: str) -> AltMatrix:
+    from .skewmat import make
+
     text = Path(path).read_text(encoding="utf-8")
     if text.lstrip().startswith("{"):
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
         missing = {"modulus", "size", "entries"} - set(doc)
         if missing:
             raise ValueError(f"{path}: missing keys {sorted(missing)}")
@@ -105,16 +105,22 @@ def _emit(doc: dict) -> None:
 
 
 def _cmd_switch(args: argparse.Namespace) -> int:
+    from .skewmat import switch
+
     _emit(_matrix_doc(switch(_load_matrix(args.file), args.vertex)))
     return EXIT_YES
 
 
 def _cmd_isolate(args: argparse.Namespace) -> int:
+    from .skewmat import isolate
+
     _emit(_matrix_doc(isolate(_load_matrix(args.file), args.vertex)))
     return EXIT_YES
 
 
 def _cmd_eulerize(args: argparse.Namespace) -> int:
+    from .eulerian import eulerize, row_sum_profile
+
     m = _load_matrix(args.file)
     result, exponents = eulerize(m)
     doc = _matrix_doc(result)
@@ -129,6 +135,8 @@ def _cmd_eulerize(args: argparse.Namespace) -> int:
 
 
 def _cmd_equiv(args: argparse.Namespace) -> int:
+    from .skewmat import switching_equivalent
+
     witness = switching_equivalent(_load_matrix(args.first), _load_matrix(args.second))
     _emit(
         {
@@ -141,6 +149,8 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 
 
 def _cmd_iso(args: argparse.Namespace) -> int:
+    from .skewmat import isomorphic
+
     sigma = isomorphic(_load_matrix(args.first), _load_matrix(args.second))
     _emit({"isomorphic": sigma is not None, "permutation": sigma})
     return EXIT_YES if sigma else EXIT_NO
@@ -165,6 +175,8 @@ def _dot_digraph(m: AltMatrix) -> str:
 
 
 def _cmd_complex(args: argparse.Namespace) -> int:
+    from .pointcomplex import dimension, facets
+
     m = _load_matrix(args.file)
     if args.emit_dot:
         print(_dot_digraph(m))
@@ -183,6 +195,8 @@ def _cmd_complex(args: argparse.Namespace) -> int:
 
 
 def _cmd_complex_iso(args: argparse.Namespace) -> int:
+    from .pointcomplex import complexes_isomorphic, facets
+
     ca = facets(_load_matrix(args.first))
     cb = facets(_load_matrix(args.second))
     sigma = complexes_isomorphic(ca, cb)
@@ -197,6 +211,8 @@ def _cmd_complex_iso(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from .algfrontend import SkewAlgebraSpec, classify_pair, grmod_witness_as_lambdas
+
     a = SkewAlgebraSpec(_load_matrix(args.first))
     b = SkewAlgebraSpec(_load_matrix(args.second))
     report = classify_pair(a, b)
@@ -222,12 +238,16 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    from .census import count_eulerian_classes, count_switching_classes
+
     counter = count_switching_classes if args.what == "classes" else count_eulerian_classes
     print(counter(args.modulus, args.n))
     return EXIT_YES
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
+    from .census import brute_force_census, count_switching_classes, enumerate_eulerian_representatives
+
     # one Burnside sum per request: a listing is checked against it, and the
     # two counts are equal (the duality theorem in count_switching_classes)
     if args.brute_force:
@@ -253,6 +273,8 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
+    from .census import REFERENCE_TABLES, count_eulerian_classes, count_switching_classes
+
     mismatched = False
     for (modulus, what), expected in sorted(REFERENCE_TABLES.items()):
         if args.check:

@@ -17,7 +17,7 @@ import dense_census as D
 import facet_oracle as FO
 import helpers as H
 import skewswitch
-from skewswitch import REFERENCE_TABLES, census, cli, make, switch
+from skewswitch import REFERENCE_TABLES, census, make, switch
 from skewswitch.cli import EXIT_GUARD, EXIT_NO, EXIT_USAGE, EXIT_YES, run
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -61,6 +61,14 @@ class TestMatrixFiles:
         p = tmp_path / "bad.json"
         p.write_text('{"modulus": 3}', encoding="utf-8")
         assert run(["switch", "-v", "1", str(p)]) == EXIT_USAGE
+
+    def test_deeply_nested_json_refused(self, tmp_path, capsys):
+        # the JSON decoder recurses once per bracket, past any recursion limit
+        depth = 200_000
+        p = tmp_path / "nested.json"
+        p.write_text('{"modulus": 3, "size": 1, "entries": ' + "[" * depth + "]" * depth + "}", encoding="utf-8")
+        assert run(["switch", "-v", "1", str(p)]) == EXIT_USAGE
+        assert f"{p}: JSON nested too deeply" in capsys.readouterr().err
 
     def test_text_row_count_mismatch(self, tmp_path, capsys):
         p = tmp_path / "bad.txt"
@@ -367,7 +375,7 @@ class TestCountCensusTables:
     def test_tables_check_mismatch_answers_no(self, capsys, monkeypatch):
         tables = dict(REFERENCE_TABLES)
         tables[(2, "classes")] = (1, 1, 2, 4)
-        monkeypatch.setattr("skewswitch.cli.REFERENCE_TABLES", tables)
+        monkeypatch.setattr("skewswitch.census.REFERENCE_TABLES", tables)
         assert run(["tables", "--check"]) == EXIT_NO
         out = capsys.readouterr().out
         assert "classes modulus=2 n=1..4: MISMATCH" in out
@@ -571,7 +579,6 @@ def test_census_runs_one_burnside_sum(monkeypatch, capsys, case):
 
     counter = census.count_eulerian_classes
     monkeypatch.setattr(census, "count_eulerian_classes", counted)
-    monkeypatch.setattr(cli, "count_eulerian_classes", counted)
     argv, code, doc = OUTPUT_CONTRACT[case]
     assert run_json(capsys, argv) == (code, doc)
     assert len(calls) <= 1
@@ -583,12 +590,54 @@ def test_every_public_name_is_documented_in_readme():
     assert not missing, f"public names absent from README.md: {missing}"
 
 
+PUBLIC_HOMES = {
+    "algfrontend": "ClassificationReport SkewAlgebraSpec classify_pair grmod_witness_as_lambdas",
+    "census": "COUNT_GUARD ENUM_GUARD REFERENCE_TABLES CensusResult CycleType brute_force_census "
+    "count_eulerian_classes count_switching_classes cycle_types enumerate_eulerian_representatives",
+    "errors": "NotCoprimeError ResourceGuardError",
+    "eulerian": "ORBIT_GUARD RowSumProfile eulerian_in_orbit eulerize is_modular_eulerian row_sum_profile",
+    "pointcomplex": "SimplicialComplex complexes_isomorphic dimension facets",
+    "skewmat": "AltMatrix EquivWitness Permutation SwitchExponents canonical_class_form canonical_iso_form "
+    "isolate isomorphic make relabel switch switch_many switching_equivalent verify_witness",
+}
+
+
+def test_public_names_resolve_on_first_use(tmp_path):
+    homes = {name: home for home, names in PUBLIC_HOMES.items() for name in names.split()}
+    assert len(homes) == 40 and sorted(skewswitch.__all__) == sorted(homes)
+    for name, home in homes.items():
+        assert getattr(skewswitch, name) is getattr(getattr(skewswitch, home), name), name
+    # a fresh interpreter, in which a bare import has loaded no submodule yet
+    code = (
+        "import json, sys, skewswitch; "
+        "bare = [m for m in sys.modules if m.startswith('skewswitch.')]; "
+        "listed = set(skewswitch.__all__) <= set(dir(skewswitch)); "
+        f"modules = [getattr(skewswitch, home).__name__ for home in {sorted(PUBLIC_HOMES)!r}]; "
+        "names = {}; exec('from skewswitch import *', names); "
+        "same = all(names[n] is getattr(skewswitch, n) for n in skewswitch.__all__); "
+        "print(json.dumps([bare, listed, modules, sorted(set(names) - {'__builtins__'}), same])); "
+        "skewswitch.no_such_name"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path, env=env
+    )
+    bare, listed, modules, star, same = json.loads(proc.stdout)
+    assert bare == [] and listed and same
+    assert modules == [f"skewswitch.{home}" for home in sorted(PUBLIC_HOMES)]
+    assert star == sorted(homes)
+    assert "AttributeError: module 'skewswitch' has no attribute 'no_such_name'" in proc.stderr
+
+
 def test_import_leaves_numpy_unloaded(tmp_path):
-    # a fresh interpreter: this test process has numpy loaded already
+    # a fresh interpreter: this test process has numpy and every submodule loaded already
     code = (
         "import json, sys; import skewswitch.cli, skewswitch; "
-        "print(json.dumps('numpy' in sys.modules)); "
-        "sys.exit(skewswitch.cli.run(['census', '--modulus', '3', '--n', '4', '--list']))"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('skewswitch.')); "
+        "print(json.dumps(['numpy' in sys.modules, loaded()])); "
+        "code = skewswitch.cli.run(['census', '--modulus', '3', '--n', '4', '--list']); "
+        "print(json.dumps(loaded())); sys.exit(code)"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
@@ -596,8 +645,11 @@ def test_import_leaves_numpy_unloaded(tmp_path):
         [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path, env=env
     )
     assert proc.returncode == EXIT_YES, proc.stderr
-    loaded, _, listing = proc.stdout.partition("\n")
-    assert json.loads(loaded) is False
+    before, listing, after = proc.stdout.splitlines()
+    # the CLI imports the library modules only when a command runs them
+    assert json.loads(before) == [False, ["skewswitch.cli", "skewswitch.errors"]]
+    assert {"skewswitch.census", "skewswitch.skewmat"} <= set(json.loads(after))
+    assert not {"skewswitch.pointcomplex", "skewswitch.eulerian", "skewswitch.algfrontend"} & set(json.loads(after))
     doc = json.loads(listing)
     assert doc["eulerian_classes"] == 4
     assert doc["representatives"] == CENSUS_3_4_REPRESENTATIVES
