@@ -44,7 +44,6 @@ _HOMES = {
     "eulerian_in_orbit": "eulerian",
     "eulerize": "eulerian",
     "facets": "pointcomplex",
-    "grmod_witness_as_lambdas": "algfrontend",
     "is_modular_eulerian": "eulerian",
     "isolate": "skewmat",
     "isomorphic": "skewmat",

@@ -6,21 +6,24 @@ of a fixed primitive l-th root of unity, and only the exponents are ever
 stored.  Three nested questions are answered for a pair of algebras:
 graded-algebra isomorphism, equivalence of graded module categories, and
 isomorphism of the point complexes.  Each positive answer carries a
-checkable witness, and a positive earlier answer forces all later ones.
+checkable witness, and a positive earlier answer forces all later ones:
+a relabeling sigma is the equivalence witness (sigma, 0, ..., 0), and the
+sigma of an equivalence witness carries one point complex onto the other,
+because switching leaves every triple sum unchanged.  So each witness
+answers the next question.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pointcomplex import SimplicialComplex, complexes_isomorphic, dimension, facets
+from .pointcomplex import SimplicialComplex, _carries_facets, complexes_isomorphic, facets
 from .skewmat import AltMatrix, EquivWitness, Permutation, isomorphic, switching_equivalent
 
 __all__ = [
     "SkewAlgebraSpec",
     "ClassificationReport",
     "classify_pair",
-    "grmod_witness_as_lambdas",
 ]
 
 
@@ -48,10 +51,11 @@ class ClassificationReport:
     """Verdicts for one pair of algebras, coarsest last, with witnesses.
 
     algebra_isomorphic is a relabeling carrying one matrix to the other,
-    grmod_equivalent a switching-equivalence witness, complexes_isomorphic
-    a vertex bijection of the point complexes.  An earlier verdict being
-    positive forces every later one, and the constructor rejects reports
-    violating that chain.
+    grmod_equivalent a switching-equivalence witness (zero exponents when
+    algebra_isomorphic is set), complexes_isomorphic a vertex bijection of
+    the point complexes (the witness's sigma when there is one).  An earlier
+    verdict being positive forces every later one, and the constructor
+    rejects reports violating that chain.
     """
 
     algebra_isomorphic: Permutation | None
@@ -59,8 +63,6 @@ class ClassificationReport:
     complexes_isomorphic: Permutation | None
     first_facets: SimplicialComplex
     second_facets: SimplicialComplex
-    first_dimension: int
-    second_dimension: int
     note: str | None = None
 
     def __post_init__(self) -> None:
@@ -80,35 +82,22 @@ def classify_pair(a: SkewAlgebraSpec, b: SkewAlgebraSpec) -> ClassificationRepor
     if a.modulus != b.modulus:
         raise ValueError(f"modulus mismatch: {a.modulus} vs {b.modulus}")
     ca, cb = facets(a.matrix), facets(b.matrix)
-    da, db = dimension(ca), dimension(cb)
     if a.size != b.size:
-        return ClassificationReport(
-            None,
-            None,
-            None,
-            ca,
-            cb,
-            da,
-            db,
-            note="different variable counts: the graded module categories of graded"
-            " quotient algebras with different Hilbert series are never equivalent",
-        )
-    return ClassificationReport(
-        isomorphic(a.matrix, b.matrix),
-        switching_equivalent(a.matrix, b.matrix),
-        complexes_isomorphic(ca, cb),
-        ca,
-        cb,
-        da,
-        db,
-    )
+        note = "different variable counts: the graded module categories of graded quotient algebras with"
+        return ClassificationReport(None, None, None, ca, cb, note + " different Hilbert series are never equivalent")
+    return ClassificationReport(*_verdicts(a.matrix, b.matrix, ca, cb), ca, cb)
 
 
-def grmod_witness_as_lambdas(w: EquivWitness, modulus: int) -> list[tuple[int, int]]:
-    """Per-variable rescaling exponents (i, a_i) of an equivalence witness.
+def _verdicts(m: AltMatrix, mp: AltMatrix, c: SimplicialComplex, cp: SimplicialComplex) -> tuple:
+    """The three verdicts for matrices of one modulus and size, whose complexes are c and cp.
 
-    Variable i is rescaled by the a_i-th power of the primitive root; the
-    relabeling part of the witness is untouched.  Feeding the exponents
-    back through the switching map reproduces the target matrix.
+    Each search runs only below a no.  A handed-down sigma is checked against
+    both facet lists; isomorphic and switching_equivalent check their own.
     """
-    return [(i + 1, a % modulus) for i, a in enumerate(w.exponents)]
+    sigma = isomorphic(m, mp)
+    witness = EquivWitness(sigma, tuple([0] * m.size)) if sigma else switching_equivalent(m, mp)
+    if witness is None:
+        return None, None, complexes_isomorphic(c, cp)
+    if not _carries_facets(c, cp, witness.sigma):
+        raise RuntimeError(f"witness {witness} does not carry facets onto facets")
+    return sigma, witness, witness.sigma

@@ -37,8 +37,8 @@ the whole orbit, marks the code of every image, and keeps the least.
   and the least image is the class's canonical_class_form.
 
 ENUM_GUARD (defined in skewmat, where it also bounds the searches) bounds
-the work: the codes scanned plus n! images per orbit, for each walk.  Both
-walks and the counts run on the standard library.
+the work: the codes scanned plus n! images per orbit, for each walk, plus
+the n^2 entries of each representative kept.  All runs on the standard library.
 """
 
 from __future__ import annotations
@@ -329,10 +329,10 @@ def _decode_matrix(code: int, modulus: int, size: int) -> AltMatrix:
 def _check_enumeration(what: str, modulus: int, size: int, walks: int) -> int:
     """Refuse when `walks` orbit walks would take more than ENUM_GUARD steps, else count the orbits.
 
-    A walk scans the l^C(n-1,2) codes and computes n! images per orbit, and
-    there are count_eulerian_classes orbits, which is returned.  The codes
-    are counted first, one factor at a time, so a huge request is refused
-    within about log2(ENUM_GUARD) steps, before anything is counted.
+    A walk scans the l^C(n-1,2) codes and computes n! images per orbit; the
+    count_eulerian_classes orbits, returned, are also kept as n^2 entries
+    each.  The codes are counted first, one factor at a time, so a huge
+    request is refused within log2(ENUM_GUARD) steps, before anything is counted.
     """
     _check_args(modulus, size)
     exponent = (size - 1) * (size - 2) // 2
@@ -345,11 +345,11 @@ def _check_enumeration(what: str, modulus: int, size: int, walks: int) -> int:
                 f"over the bound {ENUM_GUARD}"
             )
     orbits = count_eulerian_classes(modulus, size)
-    work = walks * (codes + orbits * math.factorial(size))
+    work = walks * (codes + orbits * math.factorial(size)) + orbits * size * size
     if work > ENUM_GUARD:
         raise ResourceGuardError(
-            f"{what} needs {work} steps in {walks} walk(s) of {codes} codes and "
-            f"{orbits} orbits of {size}! relabelings, over the bound {ENUM_GUARD}"
+            f"{what} needs {work} steps: {size}^2 entries for each of {orbits} orbits kept, and {walks} walk(s) "
+            f"of {codes} codes and {orbits} orbits of {size}! relabelings, over the bound {ENUM_GUARD}"
         )
     return orbits
 

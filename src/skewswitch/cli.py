@@ -32,10 +32,15 @@ EXIT_USAGE = 2
 EXIT_GUARD = 3
 
 
+def _shown(value: object) -> str:
+    # a container by its JSON type, anything else by a short prefix, so a refusal stays short
+    return {list: "a JSON array", dict: "a JSON object"}.get(type(value)) or json.dumps(value)[:40]
+
+
 def _json_int(value: object, what: str) -> int:
     # exact type: bool is a subclass of int, and int() would coerce floats and strings
     if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
+        raise ValueError(f"{what} must be an integer, got {_shown(value)}")
     return value
 
 
@@ -43,7 +48,7 @@ def _text_int(token: str, what: str) -> int:
     # int() alone would also read 1_0 and the digits of other scripts
     digits = token[1:] if token[:1] in ("+", "-") else token
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"{what} must be an integer, got {token!r}")
+        raise ValueError(f"{what} must be an integer, got {token[:40]!r}")
     return int(token)
 
 
@@ -63,10 +68,10 @@ def _load_matrix(path: str) -> AltMatrix:
         size = _json_int(doc["size"], f"{path}: size")
         entries = doc["entries"]
         if not isinstance(entries, list):
-            raise ValueError(f"{path}: entries must be a list of rows, got {json.dumps(entries)}")
+            raise ValueError(f"{path}: entries must be a list of rows, got {_shown(entries)}")
         for i, row in enumerate(entries, start=1):
             if not isinstance(row, list):
-                raise ValueError(f"{path}: row {i} must be a list, got {json.dumps(row)}")
+                raise ValueError(f"{path}: row {i} must be a list, got {_shown(row)}")
             # the set of types is the fast check; the scan only finds the cell to name
             if not set(map(type, row)) <= {int}:
                 j = [type(value) is int for value in row].index(False)
@@ -77,7 +82,7 @@ def _load_matrix(path: str) -> AltMatrix:
         raise ValueError(f"{path}: empty matrix file")
     head = lines[0].split()
     if len(head) != 2:
-        raise ValueError(f"{path}: header must be 'modulus size', got {lines[0]!r}")
+        raise ValueError(f"{path}: header must be 'modulus size', got {lines[0][:40]!r}")
     modulus = _text_int(head[0], f"{path}: header modulus")
     size = _text_int(head[1], f"{path}: header size")
     if len(lines) != size + 1:
@@ -195,23 +200,21 @@ def _cmd_complex(args: argparse.Namespace) -> int:
 
 
 def _cmd_complex_iso(args: argparse.Namespace) -> int:
+    from .algfrontend import _verdicts
     from .pointcomplex import complexes_isomorphic, facets
 
-    ca = facets(_load_matrix(args.first))
-    cb = facets(_load_matrix(args.second))
-    sigma = complexes_isomorphic(ca, cb)
-    _emit(
-        {
-            "isomorphic": sigma is not None,
-            "vertex_bijection": sigma,
-            "facets": [ca.facets, cb.facets],
-        }
-    )
+    # both face searches first, so a refused one refuses before any matrix search
+    ca = facets(a := _load_matrix(args.first))
+    cb = facets(b := _load_matrix(args.second))
+    chained = (a.modulus, a.size) == (b.modulus, b.size)
+    sigma = _verdicts(a, b, ca, cb)[2] if chained else complexes_isomorphic(ca, cb)
+    _emit({"isomorphic": sigma is not None, "vertex_bijection": sigma, "facets": [ca.facets, cb.facets]})
     return EXIT_YES if sigma else EXIT_NO
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    from .algfrontend import SkewAlgebraSpec, classify_pair, grmod_witness_as_lambdas
+    from .algfrontend import SkewAlgebraSpec, classify_pair
+    from .pointcomplex import dimension
 
     a = SkewAlgebraSpec(_load_matrix(args.first))
     b = SkewAlgebraSpec(_load_matrix(args.second))
@@ -224,13 +227,14 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         "grmod_equivalent": {
             "permutation": witness.sigma,
             "switch_exponents": witness.exponents,
-            "lambda_exponents": grmod_witness_as_lambdas(witness, a.modulus),
+            # variable i is rescaled by the a_i-th power of the root; a_i is already reduced
+            "lambda_exponents": [[i, x] for i, x in enumerate(witness.exponents, start=1)],
         }
         if witness
         else None,
         "complexes_isomorphic": report.complexes_isomorphic,
         "facets": [report.first_facets.facets, report.second_facets.facets],
-        "dimensions": [report.first_dimension, report.second_dimension],
+        "dimensions": [dimension(report.first_facets), dimension(report.second_facets)],
         "note": report.note,
     }
     _emit(doc)

@@ -20,7 +20,8 @@ vertex lies in facet i).  Validation reads containment off them, and
 isomorphism reads vertex profiles and co-degrees off them as popcounts.
 Complex isomorphism runs the relabeling search of skewmat on the two
 co-degree tables, with one extra check at its leaves: the bijection must
-carry the facet set onto the facet set.
+carry the facet set onto the facet set, charged one step per facet mapped
+(_carries_facets, which also checks the bijections read off matrix witnesses).
 """
 
 from __future__ import annotations
@@ -184,9 +185,16 @@ def complexes_isomorphic(c: SimplicialComplex, cp: SimplicialComplex) -> Permuta
 
     # 0-indexed: candidates[u] lists the vertices of cp whose profile is that of u
     candidates = [[cand for cand in range(n) if prof_p[cand] == pk] for pk in prof]
-    target = set(cp.facets)
+    spent = [0]
 
-    def maps_facets_onto_facets(sigma: Permutation) -> bool:
-        return {tuple(sorted([sigma[v - 1] for v in f])) for f in c.facets} == target
+    def leaf(sigma: Permutation) -> bool:
+        # charged before the facet images are built; the search's next step checks the bound
+        spent[0] += len(c.facets)
+        return _carries_facets(c, cp, sigma)
 
-    return _extend_isomorphism(_codegrees(c), _codegrees(cp), candidates, [0], maps_facets_onto_facets)
+    return _extend_isomorphism(_codegrees(c), _codegrees(cp), candidates, spent, leaf)
+
+
+def _carries_facets(c: SimplicialComplex, cp: SimplicialComplex, sigma: Permutation) -> bool:
+    """Whether the vertex bijection sigma maps the facets of c onto the facets of cp."""
+    return c.n == cp.n and {tuple(sorted([sigma[v - 1] for v in f])) for f in c.facets} == set(cp.facets)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -13,14 +13,19 @@ from skewswitch import (
     EquivWitness,
     SkewAlgebraSpec,
     classify_pair,
+    complexes_isomorphic,
+    dimension,
     enumerate_eulerian_representatives,
     facets,
-    grmod_witness_as_lambdas,
     isolate,
+    isomorphic,
+    make,
     relabel,
     switch_many,
+    switching_equivalent,
     verify_witness,
 )
+from skewswitch import algfrontend
 
 
 def spec_from_edges(modulus, size, edges):
@@ -42,13 +47,13 @@ class TestClassificationReport:
     def test_rejects_isomorphic_without_grmod(self):
         c = facets(H.zero(2, 2))
         with pytest.raises(ValueError):
-            ClassificationReport((1, 2), None, (1, 2), c, c, 1, 1)
+            ClassificationReport((1, 2), None, (1, 2), c, c)
 
     def test_rejects_grmod_without_complex_iso(self):
         c = facets(H.zero(2, 2))
         w = EquivWitness((1, 2), (0, 0))
         with pytest.raises(ValueError):
-            ClassificationReport(None, w, None, c, c, 1, 1)
+            ClassificationReport(None, w, None, c, c)
 
 
 class TestClassifyPair:
@@ -64,7 +69,7 @@ class TestClassifyPair:
         assert report.note is not None
         assert report.first_facets.facets == ((1, 2, 3),)
         assert report.second_facets.facets == ((1, 2, 3, 4),)
-        assert (report.first_dimension, report.second_dimension) == (2, 3)
+        assert (dimension(report.first_facets), dimension(report.second_facets)) == (2, 3)
 
     def test_six_vertex_pair(self):
         report = classify_pair(
@@ -144,24 +149,72 @@ class TestClassifyPair:
             )
 
 
-class TestGrmodWitnessAsLambdas:
-    def test_translates_and_reduces(self):
-        w = EquivWitness((1, 2, 3), (0, 4, 5))
-        assert grmod_witness_as_lambdas(w, 3) == [(1, 0), (2, 1), (3, 2)]
+def carries_facets(c, cp, sigma):
+    return {tuple(sorted(sigma[v - 1] for v in f)) for f in c.facets} == set(cp.facets)
 
-    def test_zero_witness(self):
-        w = EquivWitness((1, 2), (0, 0))
-        assert grmod_witness_as_lambdas(w, 7) == [(1, 0), (2, 0)]
 
-    def test_roundtrip_through_switching(self):
-        rng = random.Random(41)
-        m = H.random_alt(rng, 4, 5)
-        a = (0, 3, 1, 2, 0)
-        mp = switch_many(m, a)
-        w = EquivWitness(tuple(range(1, 6)), a)
-        lambdas = grmod_witness_as_lambdas(w, 4)
-        rebuilt = switch_many(m, tuple(e for _, e in lambdas))
-        assert rebuilt == mp
+def negated(m):
+    # every triple sum changes sign, so the zero triples and the complex stay the same
+    return make(m.modulus, m.size, [[-x for x in row] for row in m.entries])
+
+
+def chain_pairs():
+    """Random pairs in each relation: relabeled, switched and relabeled, negated (same complex), unrelated."""
+    rng = random.Random(45)
+    for modulus in range(2, 8):
+        for size in range(1, 8):
+            for _ in range(3):
+                m = H.random_alt(rng, modulus, size)
+                sigma = H.random_permutation(rng, size)
+                switching = [rng.randrange(modulus) for _ in range(size)]
+                yield "iso", m, relabel(m, sigma)
+                yield "switch", m, relabel(switch_many(m, switching), sigma)
+                yield "complex", m, relabel(switch_many(negated(m), switching), sigma)
+                yield "none", m, H.random_alt(rng, modulus, size)
+
+
+class TestWitnessChain:
+    def test_verdicts_equal_the_direct_searches_and_every_yes_verifies(self):
+        seen = set()
+        for relation, a, b in chain_pairs():
+            report = classify_pair(SkewAlgebraSpec(a), SkewAlgebraSpec(b))
+            ca, cb = facets(a), facets(b)
+            assert report.algebra_isomorphic == isomorphic(a, b)
+            assert (report.grmod_equivalent is None) == (switching_equivalent(a, b) is None)
+            assert (report.complexes_isomorphic is None) == (complexes_isomorphic(ca, cb) is None)
+            if report.algebra_isomorphic:
+                assert relabel(a, report.algebra_isomorphic) == b
+                assert report.grmod_equivalent.exponents == (0,) * a.size
+            if report.grmod_equivalent:
+                assert verify_witness(a, b, report.grmod_equivalent)
+                assert report.complexes_isomorphic == report.grmod_equivalent.sigma
+            if report.complexes_isomorphic:
+                assert carries_facets(ca, cb, report.complexes_isomorphic)
+            verdicts = (report.algebra_isomorphic, report.grmod_equivalent, report.complexes_isomorphic)
+            seen.add((relation, tuple(v is not None for v in verdicts)))
+        # every relation, and the verdicts each one is built to reach
+        assert {("iso", (True, True, True)), ("switch", (False, True, True))} <= seen
+        assert {("complex", (False, False, True)), ("none", (False, False, False))} <= seen
+
+    def test_searches_run_only_below_a_no(self, monkeypatch):
+        calls = []
+        for name in ("isomorphic", "switching_equivalent", "complexes_isomorphic"):
+            found = getattr(algfrontend, name)
+            monkeypatch.setattr(algfrontend, name, lambda *args, f=found, n=name: calls.append(n) or f(*args))
+        m = H.random_alt(random.Random(46), 3, 6)
+        classify_pair(SkewAlgebraSpec(m), SkewAlgebraSpec(relabel(m, (2, 3, 1, 5, 6, 4))))
+        assert calls == ["isomorphic"]
+        calls.clear()
+        classify_pair(SkewAlgebraSpec(m), SkewAlgebraSpec(switch_many(m, (0, 1, 2, 0, 1, 2))))
+        assert calls == ["isomorphic", "switching_equivalent"]
+
+    def test_a_witness_that_fails_the_facet_check_raises(self, monkeypatch):
+        m = H.from_edges(3, 6, H.PAIR_6_A_ARCS)
+        c = facets(m)
+        bad = next(s for s in permutations(range(1, 7)) if not carries_facets(c, c, s))
+        monkeypatch.setattr(algfrontend, "isomorphic", lambda a, b: bad)
+        with pytest.raises(RuntimeError, match="does not carry facets"):
+            classify_pair(SkewAlgebraSpec(m), SkewAlgebraSpec(m))
 
 
 class TestCentralVariableForm:

@@ -426,6 +426,33 @@ class TestEnumerateEulerianRepresentatives:
         with pytest.raises(ResourceGuardError, match="orbits of 3! relabelings"):
             enumerate_eulerian_representatives(3_000_000, 3)
 
+    def test_output_is_bounded(self):
+        # the codes and 3! images per orbit fit, but not with the orbits' 3^2
+        # entries each; at 2499999 the listing held 761 MiB before this bound
+        start = time.perf_counter()
+        for modulus in (2_499_999, 1_176_471):
+            with pytest.raises(ResourceGuardError, match="3\\^2 entries for each of"):
+                enumerate_eulerian_representatives(modulus, 3)
+        for modulus in (1_249_999, 800_001):
+            with pytest.raises(ResourceGuardError, match="3\\^2 entries for each of"):
+                brute_force_census(modulus, 3)
+        assert time.perf_counter() - start < 1.0
+        _check_enumeration("listing", 1_176_469, 3, walks=1)
+        _check_enumeration("brute-force census", 799_999, 3, walks=2)
+
+    @pytest.mark.parametrize(
+        "modulus, size, brute",
+        # the sizes the benchmark's census requests send
+        [(l, n, False) for l, n in ((2, 4), (2, 5), (3, 4), (3, 5), (4, 4), (5, 4), (6, 4), (7, 4), (4, 3))]
+        + [(l, n, True) for l, n in ((2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (4, 4), (5, 4))],
+    )
+    def test_benchmark_sizes_still_answer(self, modulus, size, brute):
+        if brute:
+            got = brute_force_census(modulus, size).eulerian_classes
+        else:
+            got = len(enumerate_eulerian_representatives(modulus, size))
+        assert got == count_eulerian_classes(modulus, size)
+
     def test_walk_is_checked_against_burnside(self, monkeypatch):
         # a walk that loses a class is an error, not a short listing
         walk = census._eulerian_walk

@@ -5,10 +5,12 @@ from __future__ import annotations
 import gc
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
 import time
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,19 @@ import dense_census as D
 import facet_oracle as FO
 import helpers as H
 import skewswitch
-from skewswitch import REFERENCE_TABLES, census, make, switch
+from skewswitch import (
+    REFERENCE_TABLES,
+    EquivWitness,
+    algfrontend,
+    census,
+    facets,
+    isomorphic,
+    make,
+    relabel,
+    switch,
+    switch_many,
+    switching_equivalent,
+)
 from skewswitch.cli import EXIT_GUARD, EXIT_NO, EXIT_USAGE, EXIT_YES, run
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -69,6 +83,45 @@ class TestMatrixFiles:
         p.write_text('{"modulus": 3, "size": 1, "entries": ' + "[" * depth + "]" * depth + "}", encoding="utf-8")
         assert run(["switch", "-v", "1", str(p)]) == EXIT_USAGE
         assert f"{p}: JSON nested too deeply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("entries", {"a": 1}),
+            ("row", {"a": 1}),
+            ("entry", {"a": 1}),
+            ("modulus", "x" * 10_000),
+            ("size", list(range(10_000))),
+        ],
+    )
+    def test_refusal_quotes_a_short_prefix(self, tmp_path, capsys, field, value):
+        if isinstance(value, dict):
+            for _ in range(900):  # nested 900 deep, which the decoder still reads
+                value = {"k": value}
+        doc = {"modulus": 3, "size": 2, "entries": [[0, 1], [2, 0]]}
+        if field in ("modulus", "size", "entries"):
+            doc[field] = value
+        else:
+            doc["entries"][1] = value if field == "row" else [value, 0]
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(["switch", "-v", "1", str(p)]) == EXIT_USAGE
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {p}: ") and " must be " in line
+        assert len(line) < len(str(p)) + 120, line
+
+    @pytest.mark.parametrize(
+        "text",
+        ["3 " + "9" * 10_000 + "x\n0\n", "3 3 " + "4" * 10_000 + "\n0\n", "3 1\n" + "x" * 10_000 + "\n"],
+        ids=["header-token", "header-line", "entry"],
+    )
+    def test_text_refusal_quotes_a_short_prefix(self, tmp_path, capsys, text):
+        p = tmp_path / "bad.txt"
+        p.write_text(text, encoding="utf-8")
+        assert run(["switch", "-v", "1", str(p)]) == EXIT_USAGE
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {p}: ") and " must be " in line
+        assert len(line) < len(str(p)) + 120, line
 
     def test_text_row_count_mismatch(self, tmp_path, capsys):
         p = tmp_path / "bad.txt"
@@ -305,6 +358,86 @@ class TestClassify:
         assert doc["note"] is not None
         assert doc["dimensions"] == [2, 3]
 
+    def test_isomorphic_pair_has_zero_exponents(self, tmp_path, capsys):
+        m = H.random_alt(random.Random(47), 5, 6)
+        sigma = (3, 1, 2, 6, 4, 5)
+        pa = write_json(tmp_path / "a.json", m)
+        pb = write_json(tmp_path / "b.json", relabel(m, sigma))
+        code, doc = run_json(capsys, ["classify", pa, pb])
+        assert code == EXIT_YES
+        assert doc["algebra_isomorphic"] == list(isomorphic(m, relabel(m, sigma)))
+        assert doc["grmod_equivalent"]["permutation"] == doc["algebra_isomorphic"]
+        assert doc["grmod_equivalent"]["switch_exponents"] == [0] * 6
+        assert doc["grmod_equivalent"]["lambda_exponents"] == [[i, 0] for i in range(1, 7)]
+        assert doc["complexes_isomorphic"] == doc["algebra_isomorphic"]
+
+    def test_lambda_exponents_rebuild_the_target(self, tmp_path, capsys):
+        rng = random.Random(41)
+        m = H.random_alt(rng, 4, 5)
+        target = relabel(switch_many(m, (0, 3, 1, 2, 0)), (2, 5, 1, 3, 4))
+        pa = write_json(tmp_path / "a.json", m)
+        pb = write_json(tmp_path / "b.json", target)
+        code, doc = run_json(capsys, ["classify", pa, pb])
+        assert code == EXIT_YES
+        witness = doc["grmod_equivalent"]
+        lambdas = witness["lambda_exponents"]
+        assert [i for i, _ in lambdas] == [1, 2, 3, 4, 5]
+        assert [x for _, x in lambdas] == witness["switch_exponents"]
+        assert all(0 <= x < 4 for _, x in lambdas)
+        assert relabel(switch_many(m, [x for _, x in lambdas]), witness["permutation"]) == target
+
+
+def paley_11_pair():
+    """The Paley tournament p = 11 at l = 3, and a copy switched at vertex 2 and then relabeled."""
+    m = H.paley(11, 3)
+    return m, relabel(switch(m, 2), H.random_permutation(random.Random(3), 11))
+
+
+class TestWitnessChain:
+    """classify and complex-iso hand each witness down; the complex search runs only below a no."""
+
+    @pytest.mark.parametrize("command", ["complex-iso", "classify"])
+    def test_paley_11_pair_answers_with_the_witness_sigma(self, tmp_path, capsys, command):
+        # the complex search alone takes 12 s here; the equivalence search about 0.3 ms
+        a, b = paley_11_pair()
+        pa, pb = write_json(tmp_path / "a.json", a), write_json(tmp_path / "b.json", b)
+        start = time.perf_counter()
+        code = run([command, pa, pb])
+        elapsed = time.perf_counter() - start
+        doc = json.loads(capsys.readouterr().out)
+        assert code == EXIT_YES
+        sigma = doc["vertex_bijection" if command == "complex-iso" else "complexes_isomorphic"]
+        assert sigma == list(switching_equivalent(a, b).sigma)
+        ca, cb = facets(a), facets(b)
+        assert {tuple(sorted(sigma[v - 1] for v in f)) for f in ca.facets} == set(cb.facets)
+        assert elapsed < 0.1, f"{command} on the Paley p = 11 pair took {elapsed:.3f}s"
+
+    @pytest.mark.parametrize(
+        "a, b, code",
+        [
+            (H.from_edges(3, 4, H.CLASSES_4[0][0]), H.from_edges(2, 4, [(1, 2)]), EXIT_NO),
+            (H.zero(3, 3), H.zero(3, 4), EXIT_NO),
+            (H.zero(2, 3), H.zero(3, 3), EXIT_YES),  # one facet each: the complexes alone decide
+        ],
+        ids=["moduli", "sizes", "moduli-same-complex"],
+    )
+    def test_complex_iso_across_moduli_or_sizes(self, tmp_path, capsys, a, b, code):
+        pa, pb = write_json(tmp_path / "a.json", a), write_json(tmp_path / "b.json", b)
+        assert run(["complex-iso", pa, pb]) == code
+        assert json.loads(capsys.readouterr().out)["isomorphic"] is (code == EXIT_YES)
+
+    @pytest.mark.parametrize("command", ["complex-iso", "classify"])
+    def test_unchecked_witness_is_never_printed(self, tmp_path, capsys, monkeypatch, command):
+        m = H.from_edges(3, 6, H.PAIR_6_A_ARCS)
+        target = switch(m, 2)
+        faces = set(facets(m).facets)
+        bad = next(s for s in permutations(range(1, 7)) if {tuple(sorted(s[v - 1] for v in f)) for f in faces} != faces)
+        monkeypatch.setattr(algfrontend, "switching_equivalent", lambda x, y: EquivWitness(bad, (0,) * 6))
+        pa, pb = write_json(tmp_path / "a.json", m), write_json(tmp_path / "b.json", target)
+        with pytest.raises(RuntimeError, match="does not carry facets"):
+            run([command, pa, pb])
+        assert capsys.readouterr().out == ""
+
 
 class TestCountCensusTables:
     def test_count_classes(self, capsys):
@@ -490,7 +623,8 @@ OUTPUT_CONTRACT = {
     "complex-iso": (
         ["complex-iso", "path.txt", "moved.txt"],
         EXIT_YES,
-        {"isomorphic": True, "vertex_bijection": [1, 2, 3, 4], "facets": [PATH_FACETS, PATH_FACETS]},
+        # the sigma of the equivalence witness (equiv.yes), not the lex-first bijection
+        {"isomorphic": True, "vertex_bijection": [1, 3, 4, 2], "facets": [PATH_FACETS, PATH_FACETS]},
     ),
     "classify": (
         ["classify", "path.txt", "moved.txt"],
@@ -504,7 +638,7 @@ OUTPUT_CONTRACT = {
                 "switch_exponents": [0, 0, 2, 1],
                 "lambda_exponents": [[1, 0], [2, 0], [3, 2], [4, 1]],
             },
-            "complexes_isomorphic": [1, 2, 3, 4],
+            "complexes_isomorphic": [1, 3, 4, 2],
             "facets": [PATH_FACETS, PATH_FACETS],
             "dimensions": [1, 1],
             "note": None,
@@ -591,7 +725,7 @@ def test_every_public_name_is_documented_in_readme():
 
 
 PUBLIC_HOMES = {
-    "algfrontend": "ClassificationReport SkewAlgebraSpec classify_pair grmod_witness_as_lambdas",
+    "algfrontend": "ClassificationReport SkewAlgebraSpec classify_pair",
     "census": "COUNT_GUARD ENUM_GUARD REFERENCE_TABLES CensusResult CycleType brute_force_census "
     "count_eulerian_classes count_switching_classes cycle_types enumerate_eulerian_representatives",
     "errors": "NotCoprimeError ResourceGuardError",
@@ -604,7 +738,7 @@ PUBLIC_HOMES = {
 
 def test_public_names_resolve_on_first_use(tmp_path):
     homes = {name: home for home, names in PUBLIC_HOMES.items() for name in names.split()}
-    assert len(homes) == 40 and sorted(skewswitch.__all__) == sorted(homes)
+    assert len(homes) == 39 and sorted(skewswitch.__all__) == sorted(homes)
     for name, home in homes.items():
         assert getattr(skewswitch, name) is getattr(getattr(skewswitch, home), name), name
     # a fresh interpreter, in which a bare import has loaded no submodule yet

@@ -28,7 +28,7 @@ from skewswitch import (
     relabel,
     switch,
 )
-from skewswitch import pointcomplex
+from skewswitch import pointcomplex, skewmat
 from skewswitch.cli import EXIT_YES, run
 from skewswitch.pointcomplex import _maximal_sets, _zero_triple_masks
 
@@ -439,6 +439,39 @@ class TestSearchesAgainstRecursiveOracle:
         for m in [*oracle_cases(), *paley, *(H.zero(3, n) for n in range(1, 9))]:
             zero = _zero_triple_masks(m)
             assert _maximal_sets(zero) == SO._maximal_sets(zero)
+
+
+class TestLeafCharge:
+    """Each leaf of the complex search charges one step per facet it maps, before it maps them."""
+
+    @staticmethod
+    def paley_7_pair():
+        m = H.paley(7, 3)
+        c, cp = facets(m), facets(relabel(switch(m, 2), H.random_permutation(random.Random(3), 7)))
+        # the co-degree search alone, with uncharged leaves, and its leaves
+        leaves, spent = [], [0]
+        sizes = sorted({len(f) for f in c.facets})
+        prof, prof_p = pointcomplex._profiles(c, sizes), pointcomplex._profiles(cp, sizes)
+        candidates = [[u for u in range(c.n) if prof_p[u] == pk] for pk in prof]
+        codegrees = pointcomplex._codegrees(c), pointcomplex._codegrees(cp)
+        skewmat._extend_isomorphism(
+            *codegrees, candidates, spent, lambda s: leaves.append(s) or pointcomplex._carries_facets(c, cp, s)
+        )
+        return c, cp, spent[0], len(leaves)
+
+    def test_vertex_search_fits_and_leaf_checks_do_not(self, monkeypatch):
+        c, cp, search, leaves = self.paley_7_pair()
+        assert (search, leaves, len(c.facets)) == (899, 66, 14)
+        answer = complexes_isomorphic(c, cp)
+        monkeypatch.setattr(skewmat, "ENUM_GUARD", search)
+        with pytest.raises(ResourceGuardError, match="isomorphism search over 7 vertices"):
+            complexes_isomorphic(c, cp)
+        # the last leaf accepts; the steps before it are checked when its last image is tried
+        monkeypatch.setattr(skewmat, "ENUM_GUARD", search + (leaves - 1) * len(c.facets))
+        assert complexes_isomorphic(c, cp) == answer
+        monkeypatch.setattr(skewmat, "ENUM_GUARD", search + (leaves - 1) * len(c.facets) - 1)
+        with pytest.raises(ResourceGuardError):
+            complexes_isomorphic(c, cp)
 
 
 class TestFaceSearchBound:
