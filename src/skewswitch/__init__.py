@@ -20,10 +20,9 @@ _HOMES = {
     "CensusResult": "census",
     "ClassificationReport": "algfrontend",
     "CycleType": "census",
-    "ENUM_GUARD": "census",
+    "ENUM_GUARD": "skewmat",
     "EquivWitness": "skewmat",
     "NotCoprimeError": "errors",
-    "ORBIT_GUARD": "eulerian",
     "Permutation": "skewmat",
     "REFERENCE_TABLES": "census",
     "ResourceGuardError": "errors",

@@ -98,6 +98,6 @@ def _verdicts(m: AltMatrix, mp: AltMatrix, c: SimplicialComplex, cp: SimplicialC
     witness = EquivWitness(sigma, tuple([0] * m.size)) if sigma else switching_equivalent(m, mp)
     if witness is None:
         return None, None, complexes_isomorphic(c, cp)
-    if not _carries_facets(c, cp, witness.sigma):
+    if not _carries_facets(c, set(cp.facets), witness.sigma):
         raise RuntimeError(f"witness {witness} does not carry facets onto facets")
     return sigma, witness, witness.sigma

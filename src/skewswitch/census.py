@@ -36,9 +36,9 @@ the whole orbit, marks the code of every image, and keeps the least.
   u = tau^-1(1).  So the orbits are the switching classes, met once each,
   and the least image is the class's canonical_class_form.
 
-ENUM_GUARD (defined in skewmat, where it also bounds the searches) bounds
-the work: the codes scanned plus n! images per orbit, for each walk, plus
-the n^2 entries of each representative kept.  All runs on the standard library.
+skewmat.ENUM_GUARD bounds the work: the codes scanned plus n! images per
+orbit, for each walk, plus the n^2 entries of each representative kept.
+All runs on the standard library.
 """
 
 from __future__ import annotations
@@ -48,14 +48,15 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
+from . import skewmat
 from .errors import ResourceGuardError
-from .skewmat import ENUM_GUARD, AltMatrix
+from .skewmat import AltMatrix
 
 __all__ = [
     "COUNT_GUARD",
-    "ENUM_GUARD",
     "REFERENCE_TABLES",
     "CycleType",
     "CensusResult",
@@ -327,7 +328,7 @@ def _decode_matrix(code: int, modulus: int, size: int) -> AltMatrix:
 
 
 def _check_enumeration(what: str, modulus: int, size: int, walks: int) -> int:
-    """Refuse when `walks` orbit walks would take more than ENUM_GUARD steps, else count the orbits.
+    """Refuse when `walks` orbit walks would take more than skewmat.ENUM_GUARD steps, else count the orbits.
 
     A walk scans the l^C(n-1,2) codes and computes n! images per orbit; the
     count_eulerian_classes orbits, returned, are also kept as n^2 entries
@@ -335,31 +336,34 @@ def _check_enumeration(what: str, modulus: int, size: int, walks: int) -> int:
     request is refused within log2(ENUM_GUARD) steps, before anything is counted.
     """
     _check_args(modulus, size)
+    bound = skewmat.ENUM_GUARD
     exponent = (size - 1) * (size - 2) // 2
     codes = 1
     for _ in range(exponent):
         codes *= modulus
-        if walks * codes > ENUM_GUARD:
+        if walks * codes > bound:
             raise ResourceGuardError(
                 f"{what} scans {modulus}^{exponent} codes per walk in {walks} walk(s), "
-                f"over the bound {ENUM_GUARD}"
+                f"over the bound {bound}"
             )
     orbits = count_eulerian_classes(modulus, size)
     work = walks * (codes + orbits * math.factorial(size)) + orbits * size * size
-    if work > ENUM_GUARD:
+    if work > bound:
         raise ResourceGuardError(
             f"{what} needs {work} steps: {size}^2 entries for each of {orbits} orbits kept, and {walks} walk(s) "
-            f"of {codes} codes and {orbits} orbits of {size}! relabelings, over the bound {ENUM_GUARD}"
+            f"of {codes} codes and {orbits} orbits of {size}! relabelings, over the bound {bound}"
         )
     return orbits
 
 
-def _relabelings(size: int) -> list[tuple[int, list[int]]]:
+@lru_cache(maxsize=8)
+def _relabelings(size: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Per relabeling sigma, the preimage of vertex 1 and where each slot of the image comes from.
 
     Slot (a, b) of relabel(x, sigma) holds entry (inv a, inv b) of x.  Read
     from the entry vector v of x followed by its negation, that is index k
-    of the pair when inv a < inv b and k + C(n,2) otherwise.
+    of the pair when inv a < inv b and k + C(n,2) otherwise.  Tables are
+    shared between calls, so they are tuples; the walks run at n <= 7.
     """
     pairs = _pairs(size)
     index = {p: k for k, p in enumerate(pairs)}
@@ -369,11 +373,11 @@ def _relabelings(size: int) -> list[tuple[int, list[int]]]:
             index[(inv[a], inv[b])] if inv[a] < inv[b] else len(pairs) + index[(inv[b], inv[a])]
             for a, b in pairs
         ]
-        out.append((inv[0], source))
-    return out
+        out.append((inv[0], tuple(source)))
+    return tuple(out)
 
 
-def _image_codes(modulus: int, entries: list[int], sources: list[list[int]], weights: list[int]) -> list[int]:
+def _image_codes(modulus: int, entries: list[int], sources: Sequence[Sequence[int]], weights: list[int]) -> list[int]:
     """Base-l codes of the relabelings of the matrix with entry vector `entries`, one per source list."""
     get = (entries + [(-e) % modulus for e in entries]).__getitem__
     return [sum(map(operator.mul, map(get, source), weights)) for source in sources]
@@ -406,7 +410,7 @@ def _orbit_walk(modulus: int, size: int, images: Callable[[list[int]], list[int]
     return least
 
 
-def _eulerian_walk(modulus: int, size: int, relabelings: list[tuple[int, list[int]]]) -> list[int]:
+def _eulerian_walk(modulus: int, size: int, relabelings: Sequence[tuple[int, Sequence[int]]]) -> list[int]:
     # slot (1, j) is the sum of row j over vertices 2..n, so every row sums to zero
     npairs = size * (size - 1) // 2
     weights = [modulus ** (npairs - 1 - k) for k in range(npairs)]
@@ -429,7 +433,7 @@ def _isolated_entries(modulus: int, grid: list[list[int]], u: int, pairs: list[t
     return [(grid[i][j] + row[i] - row[j]) % modulus for i, j in pairs]
 
 
-def _class_walk(modulus: int, size: int, relabelings: list[tuple[int, list[int]]]) -> list[int]:
+def _class_walk(modulus: int, size: int, relabelings: Sequence[tuple[int, Sequence[int]]]) -> list[int]:
     # images relabel(isolate(x, u), sigma) with sigma(u) = 1 keep the first row
     # zero, so their codes need only the slots among vertices 2..n
     npairs = size * (size - 1) // 2

@@ -7,8 +7,11 @@ shell pipelines can branch on it: 0 yes, 10 no, 2 bad input or usage,
 3 resource guard tripped.  `tables --check` answers 10 when a recomputed
 table differs from its published copy.
 
-Each handler imports the library modules it runs, so that a call loads only
+Handlers reach the library at call time as skewswitch.<submodule>.<name>.
+The package loads a submodule on first use (PEP 562), so a call loads only
 what its command needs: start-up is most of the cost of a small request.
+Reading each name through its submodule, at each call, also sees a patched
+module attribute.
 """
 
 from __future__ import annotations
@@ -17,12 +20,11 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
+
+import skewswitch
 
 from .errors import ResourceGuardError
-
-if TYPE_CHECKING:
-    from .skewmat import AltMatrix
 
 __all__ = ["run", "main"]
 
@@ -52,9 +54,8 @@ def _text_int(token: str, what: str) -> int:
     return int(token)
 
 
-def _load_matrix(path: str) -> AltMatrix:
-    from .skewmat import make
-
+def _load_matrix(path: str) -> skewswitch.skewmat.AltMatrix:
+    make = skewswitch.skewmat.make
     text = Path(path).read_text(encoding="utf-8")
     if text.lstrip().startswith("{"):
         try:
@@ -100,7 +101,7 @@ def _load_matrix(path: str) -> AltMatrix:
     return make(modulus, size, grid)
 
 
-def _matrix_doc(m: AltMatrix) -> dict:
+def _matrix_doc(m: skewswitch.skewmat.AltMatrix) -> dict:
     return {"modulus": m.modulus, "size": m.size, "entries": m.entries}
 
 
@@ -110,27 +111,21 @@ def _emit(doc: dict) -> None:
 
 
 def _cmd_switch(args: argparse.Namespace) -> int:
-    from .skewmat import switch
-
-    _emit(_matrix_doc(switch(_load_matrix(args.file), args.vertex)))
+    _emit(_matrix_doc(skewswitch.skewmat.switch(_load_matrix(args.file), args.vertex)))
     return EXIT_YES
 
 
 def _cmd_isolate(args: argparse.Namespace) -> int:
-    from .skewmat import isolate
-
-    _emit(_matrix_doc(isolate(_load_matrix(args.file), args.vertex)))
+    _emit(_matrix_doc(skewswitch.skewmat.isolate(_load_matrix(args.file), args.vertex)))
     return EXIT_YES
 
 
 def _cmd_eulerize(args: argparse.Namespace) -> int:
-    from .eulerian import eulerize, row_sum_profile
-
     m = _load_matrix(args.file)
-    result, exponents = eulerize(m)
+    result, exponents = skewswitch.eulerian.eulerize(m)
     doc = _matrix_doc(result)
     if args.explain:
-        profile = row_sum_profile(m)
+        profile = skewswitch.eulerian.row_sum_profile(m)
         doc["scale"] = pow(m.size, -1, m.modulus)
         doc["row_sums"] = profile.sums
         doc["buckets"] = {str(k): vs for k, vs in enumerate(profile.buckets) if vs}
@@ -140,9 +135,7 @@ def _cmd_eulerize(args: argparse.Namespace) -> int:
 
 
 def _cmd_equiv(args: argparse.Namespace) -> int:
-    from .skewmat import switching_equivalent
-
-    witness = switching_equivalent(_load_matrix(args.first), _load_matrix(args.second))
+    witness = skewswitch.skewmat.switching_equivalent(_load_matrix(args.first), _load_matrix(args.second))
     _emit(
         {
             "equivalent": witness is not None,
@@ -154,14 +147,12 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 
 
 def _cmd_iso(args: argparse.Namespace) -> int:
-    from .skewmat import isomorphic
-
-    sigma = isomorphic(_load_matrix(args.first), _load_matrix(args.second))
+    sigma = skewswitch.skewmat.isomorphic(_load_matrix(args.first), _load_matrix(args.second))
     _emit({"isomorphic": sigma is not None, "permutation": sigma})
     return EXIT_YES if sigma else EXIT_NO
 
 
-def _dot_digraph(m: AltMatrix) -> str:
+def _dot_digraph(m: skewswitch.skewmat.AltMatrix) -> str:
     # arcs point toward the vertex seeing the smaller exponent, ties broken upward
     lines = ["digraph skew {"]
     lines += [f"  {v};" for v in range(1, m.size + 1)]
@@ -180,17 +171,16 @@ def _dot_digraph(m: AltMatrix) -> str:
 
 
 def _cmd_complex(args: argparse.Namespace) -> int:
-    from .pointcomplex import dimension, facets
-
     m = _load_matrix(args.file)
     if args.emit_dot:
         print(_dot_digraph(m))
         return EXIT_YES
-    cx = facets(m)
+    complexes = skewswitch.pointcomplex
+    cx = complexes.facets(m)
     doc = {
         "size": cx.n,
         "facets": cx.facets,
-        "dimension": dimension(cx),
+        "dimension": complexes.dimension(cx),
     }
     if args.components:
         # one linear component of the point variety per facet F, of projective dimension |F| - 1
@@ -200,25 +190,21 @@ def _cmd_complex(args: argparse.Namespace) -> int:
 
 
 def _cmd_complex_iso(args: argparse.Namespace) -> int:
-    from .algfrontend import _verdicts
-    from .pointcomplex import complexes_isomorphic, facets
-
+    complexes = skewswitch.pointcomplex
     # both face searches first, so a refused one refuses before any matrix search
-    ca = facets(a := _load_matrix(args.first))
-    cb = facets(b := _load_matrix(args.second))
+    ca = complexes.facets(a := _load_matrix(args.first))
+    cb = complexes.facets(b := _load_matrix(args.second))
     chained = (a.modulus, a.size) == (b.modulus, b.size)
-    sigma = _verdicts(a, b, ca, cb)[2] if chained else complexes_isomorphic(ca, cb)
+    sigma = skewswitch.algfrontend._verdicts(a, b, ca, cb)[2] if chained else complexes.complexes_isomorphic(ca, cb)
     _emit({"isomorphic": sigma is not None, "vertex_bijection": sigma, "facets": [ca.facets, cb.facets]})
     return EXIT_YES if sigma else EXIT_NO
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    from .algfrontend import SkewAlgebraSpec, classify_pair
-    from .pointcomplex import dimension
-
-    a = SkewAlgebraSpec(_load_matrix(args.first))
-    b = SkewAlgebraSpec(_load_matrix(args.second))
-    report = classify_pair(a, b)
+    front = skewswitch.algfrontend
+    a = front.SkewAlgebraSpec(_load_matrix(args.first))
+    b = front.SkewAlgebraSpec(_load_matrix(args.second))
+    report = front.classify_pair(a, b)
     witness = report.grmod_equivalent
     doc = {
         "modulus": a.modulus,
@@ -234,7 +220,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         else None,
         "complexes_isomorphic": report.complexes_isomorphic,
         "facets": [report.first_facets.facets, report.second_facets.facets],
-        "dimensions": [dimension(report.first_facets), dimension(report.second_facets)],
+        "dimensions": [skewswitch.pointcomplex.dimension(c) for c in (report.first_facets, report.second_facets)],
         "note": report.note,
     }
     _emit(doc)
@@ -242,27 +228,25 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    from .census import count_eulerian_classes, count_switching_classes
-
-    counter = count_switching_classes if args.what == "classes" else count_eulerian_classes
+    census = skewswitch.census
+    counter = census.count_switching_classes if args.what == "classes" else census.count_eulerian_classes
     print(counter(args.modulus, args.n))
     return EXIT_YES
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    from .census import brute_force_census, count_switching_classes, enumerate_eulerian_representatives
-
+    census = skewswitch.census
     # one Burnside sum per request: a listing is checked against it, and the
     # two counts are equal (the duality theorem in count_switching_classes)
     if args.brute_force:
-        result = brute_force_census(args.modulus, args.n)
+        result = census.brute_force_census(args.modulus, args.n)
         s, t = result.switching_classes, result.eulerian_classes
         reps = result.representatives if args.list else None
     elif args.list:
-        reps = enumerate_eulerian_representatives(args.modulus, args.n)
+        reps = census.enumerate_eulerian_representatives(args.modulus, args.n)
         s = t = len(reps)
     else:
-        s = t = count_switching_classes(args.modulus, args.n)
+        s = t = census.count_switching_classes(args.modulus, args.n)
         reps = None
     _emit(
         {
@@ -277,12 +261,11 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
-    from .census import REFERENCE_TABLES, count_eulerian_classes, count_switching_classes
-
+    census = skewswitch.census
     mismatched = False
-    for (modulus, what), expected in sorted(REFERENCE_TABLES.items()):
+    for (modulus, what), expected in sorted(census.REFERENCE_TABLES.items()):
         if args.check:
-            counter = count_switching_classes if what == "classes" else count_eulerian_classes
+            counter = census.count_switching_classes if what == "classes" else census.count_eulerian_classes
             computed = tuple(counter(modulus, n) for n in range(1, len(expected) + 1))
             status = "ok" if computed == expected else "MISMATCH"
             print(f"{what} modulus={modulus} n=1..{len(expected)}: {status}")

@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
+from . import skewmat
 from .errors import NotCoprimeError, ResourceGuardError
 from .skewmat import AltMatrix, SwitchExponents, switch_many
 
@@ -24,11 +25,7 @@ __all__ = [
     "row_sum_profile",
     "eulerize",
     "eulerian_in_orbit",
-    "ORBIT_GUARD",
 ]
-
-# bounds the entries of the matrices eulerian_in_orbit returns, n^2 per matrix
-ORBIT_GUARD = 10**7
 
 
 @dataclass(frozen=True)
@@ -113,19 +110,19 @@ def eulerian_in_orbit(m: AltMatrix) -> list[AltMatrix]:
     sum(a) = sum(b) + (l/g) sum(k).  So the sum condition needs l/g to
     divide -r_1 - sum(b), and then it fixes sum(k) mod g: any k_2..k_{n-1}
     with one k_n each.  The hits number either 0 or g^(n-2), known before
-    anything is listed.  ORBIT_GUARD bounds the hits times their n^2
+    anything is listed.  skewmat.ENUM_GUARD bounds the hits times their n^2
     entries; since g <= n, that also bounds the candidates, which are g
     times the hits.  The hits are sorted lexicographically by entries.
     """
-    n = m.size
+    n, bound = m.size, skewmat.ENUM_GUARD
     choices, target, hits = _eulerian_coset(m)
     if not hits:
         return []
-    if hits * n * n > ORBIT_GUARD:
+    if hits * n * n > bound:
         g = gcd(n, m.modulus)
         raise ResourceGuardError(
             f"switching coset of size {g}^{n - 1} = {g ** (n - 1)} holds {hits} Eulerian "
-            f"matrices of {n}x{n} entries, over the guard {ORBIT_GUARD}"
+            f"matrices of {n}x{n} entries, over ENUM_GUARD = {bound}"
         )
     found = [
         switch_many(m, (0, *rest))

@@ -13,7 +13,7 @@ because s + w + u is a face exactly when s + w and s + u are and every
 triple (x, w, u) with x in s sums to zero.  Faces grow in increasing
 vertex order, so each is visited once, and s is a facet when ext(s) is
 empty.  The search runs on an explicit stack and counts its steps against
-ENUM_GUARD, so a complex with too many faces is refused, not grown.
+skewmat.ENUM_GUARD, so a complex with too many faces is refused, not grown.
 
 A complex keeps one facet-incidence mask per vertex (bit i set when the
 vertex lies in facet i).  Validation reads containment off them, and
@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .skewmat import ENUM_GUARD, AltMatrix, Permutation, _extend_isomorphism, _over_bound
+from . import skewmat
+from .skewmat import AltMatrix, Permutation, _extend_isomorphism, _over_bound
 
 __all__ = [
     "SimplicialComplex",
@@ -90,7 +91,7 @@ def _maximal_sets(zero: list[list[int]]) -> list[tuple[int, ...]]:
     child with todo of its own.  A face of d vertices costs max(d, 1) steps,
     charged when its parent is entered, since every child is visited.
     """
-    n, out, stack = len(zero), [], []
+    n, out, stack, bound = len(zero), [], [], skewmat.ENUM_GUARD
     s, ext = (), (1 << n) - 1
     todo, steps = ext, 1 + n
     while True:
@@ -108,7 +109,7 @@ def _maximal_sets(zero: list[list[int]]) -> list[tuple[int, ...]]:
                 stack.append((s, ext, todo))
                 s, ext, todo = t, child, child >> w + 1 << w + 1
                 steps += (len(t) + 1) * todo.bit_count()
-                if steps > ENUM_GUARD:
+                if steps > bound:
                     raise _over_bound("face search", n)
         if not stack:
             return out
@@ -185,16 +186,16 @@ def complexes_isomorphic(c: SimplicialComplex, cp: SimplicialComplex) -> Permuta
 
     # 0-indexed: candidates[u] lists the vertices of cp whose profile is that of u
     candidates = [[cand for cand in range(n) if prof_p[cand] == pk] for pk in prof]
-    spent = [0]
+    spent, targets = [0], set(cp.facets)
 
     def leaf(sigma: Permutation) -> bool:
         # charged before the facet images are built; the search's next step checks the bound
         spent[0] += len(c.facets)
-        return _carries_facets(c, cp, sigma)
+        return _carries_facets(c, targets, sigma)
 
     return _extend_isomorphism(_codegrees(c), _codegrees(cp), candidates, spent, leaf)
 
 
-def _carries_facets(c: SimplicialComplex, cp: SimplicialComplex, sigma: Permutation) -> bool:
-    """Whether the vertex bijection sigma maps the facets of c onto the facets of cp."""
-    return c.n == cp.n and {tuple(sorted([sigma[v - 1] for v in f])) for f in c.facets} == set(cp.facets)
+def _carries_facets(c: SimplicialComplex, targets: set[tuple[int, ...]], sigma: Permutation) -> bool:
+    """Whether the vertex bijection sigma maps the facets of c onto `targets`, the facet set of a complex."""
+    return {tuple(sorted([sigma[v - 1] for v in f])) for f in c.facets} == targets

@@ -31,6 +31,7 @@ comparing those multisets.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -38,6 +39,7 @@ from typing import Iterable, Sequence
 from .errors import ResourceGuardError
 
 __all__ = [
+    "ENUM_GUARD",
     "AltMatrix",
     "EquivWitness",
     "make",
@@ -56,8 +58,9 @@ __all__ = [
 Permutation = tuple[int, ...]
 SwitchExponents = tuple[int, ...]
 
-# Steps of the walks (census) or the searches (here, pointcomplex) of one
-# public call; README, Guards, says what a step is and what the bound admits.
+# The one bound on a public call's steps: searches here and in pointcomplex,
+# walks in census, entries listed in eulerian.  Those modules read it at each
+# call; README, Guards, says what a step is and what the bound admits.
 ENUM_GUARD = 10**7
 
 # Hot tuples are built from lists, tuple([...]), not from generators: tuple()
@@ -113,11 +116,20 @@ def _check_entries(modulus: int, size: int, entries: tuple[tuple[int, ...], ...]
 
 
 def make(modulus: int, size: int, raw_entries: Iterable[Iterable[int]]) -> AltMatrix:
-    """Reduce a raw integer grid mod l and validate skew-symmetry."""
+    """Reduce a raw integer grid mod l and validate skew-symmetry; an entry that is not an integer is refused."""
     if modulus < 2:
         raise ValueError(f"modulus must be at least 2, got {modulus}")
-    grid = tuple([tuple([int(v) % modulus for v in row]) for row in raw_entries])
-    return AltMatrix(modulus, size, grid)
+    index, grid = operator.index, []
+    for i, row in enumerate(raw_entries, start=1):
+        values = list(row)  # a second pass names the cell when one is refused
+        try:
+            grid.append(tuple([index(v) % modulus for v in values]))
+        except TypeError:
+            for j, v in enumerate(values, start=1):
+                if not hasattr(type(v), "__index__"):
+                    raise ValueError(f"entry at ({i},{j}) must be an integer, got {v!r:.40}") from None
+            raise
+    return AltMatrix(modulus, size, tuple(grid))
 
 
 def _check_vertex(m: AltMatrix, v: int) -> None:

@@ -726,19 +726,19 @@ def test_every_public_name_is_documented_in_readme():
 
 PUBLIC_HOMES = {
     "algfrontend": "ClassificationReport SkewAlgebraSpec classify_pair",
-    "census": "COUNT_GUARD ENUM_GUARD REFERENCE_TABLES CensusResult CycleType brute_force_census "
+    "census": "COUNT_GUARD REFERENCE_TABLES CensusResult CycleType brute_force_census "
     "count_eulerian_classes count_switching_classes cycle_types enumerate_eulerian_representatives",
     "errors": "NotCoprimeError ResourceGuardError",
-    "eulerian": "ORBIT_GUARD RowSumProfile eulerian_in_orbit eulerize is_modular_eulerian row_sum_profile",
+    "eulerian": "RowSumProfile eulerian_in_orbit eulerize is_modular_eulerian row_sum_profile",
     "pointcomplex": "SimplicialComplex complexes_isomorphic dimension facets",
-    "skewmat": "AltMatrix EquivWitness Permutation SwitchExponents canonical_class_form canonical_iso_form "
+    "skewmat": "ENUM_GUARD AltMatrix EquivWitness Permutation SwitchExponents canonical_class_form canonical_iso_form "
     "isolate isomorphic make relabel switch switch_many switching_equivalent verify_witness",
 }
 
 
 def test_public_names_resolve_on_first_use(tmp_path):
     homes = {name: home for home, names in PUBLIC_HOMES.items() for name in names.split()}
-    assert len(homes) == 39 and sorted(skewswitch.__all__) == sorted(homes)
+    assert len(homes) == 38 and sorted(skewswitch.__all__) == sorted(homes)
     for name, home in homes.items():
         assert getattr(skewswitch, name) is getattr(getattr(skewswitch, home), name), name
     # a fresh interpreter, in which a bare import has loaded no submodule yet
@@ -764,13 +764,25 @@ def test_public_names_resolve_on_first_use(tmp_path):
     assert "AttributeError: module 'skewswitch' has no attribute 'no_such_name'" in proc.stderr
 
 
-def test_import_leaves_numpy_unloaded(tmp_path):
+# one command per layer, and the library modules it runs
+COMMAND_LAYERS = {
+    "complex": (["complex", "path.txt"], ["pointcomplex", "skewmat"]),
+    "eulerize": (["eulerize", "path.txt"], ["eulerian", "skewmat"]),
+    "classify": (["classify", "path.txt", "path.txt"], ["algfrontend", "pointcomplex", "skewmat"]),
+    "count": (["count", "--modulus", "3", "--n", "4"], ["census", "skewmat"]),
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_LAYERS))
+def test_import_leaves_numpy_unloaded(tmp_path, command):
+    argv, layers = COMMAND_LAYERS[command]
+    (tmp_path / "path.txt").write_text("3 4\n0 1 0 0\n2 0 1 0\n0 2 0 1\n0 0 2 0\n", encoding="utf-8")
     # a fresh interpreter: this test process has numpy and every submodule loaded already
     code = (
         "import json, sys; import skewswitch.cli, skewswitch; "
-        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('skewswitch.')); "
-        "print(json.dumps(['numpy' in sys.modules, loaded()])); "
-        "code = skewswitch.cli.run(['census', '--modulus', '3', '--n', '4', '--list']); "
+        "loaded = lambda: ['numpy' in sys.modules, sorted(m for m in sys.modules if m.startswith('skewswitch.'))]; "
+        "print(json.dumps(loaded())); "
+        f"code = skewswitch.cli.run({argv!r}); "
         "print(json.dumps(loaded())); sys.exit(code)"
     )
     env = dict(os.environ)
@@ -779,14 +791,10 @@ def test_import_leaves_numpy_unloaded(tmp_path):
         [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path, env=env
     )
     assert proc.returncode == EXIT_YES, proc.stderr
-    before, listing, after = proc.stdout.splitlines()
-    # the CLI imports the library modules only when a command runs them
-    assert json.loads(before) == [False, ["skewswitch.cli", "skewswitch.errors"]]
-    assert {"skewswitch.census", "skewswitch.skewmat"} <= set(json.loads(after))
-    assert not {"skewswitch.pointcomplex", "skewswitch.eulerian", "skewswitch.algfrontend"} & set(json.loads(after))
-    doc = json.loads(listing)
-    assert doc["eulerian_classes"] == 4
-    assert doc["representatives"] == CENSUS_3_4_REPRESENTATIVES
+    lines = proc.stdout.splitlines()
+    # the CLI imports the library modules only when a command runs them, and only those
+    assert json.loads(lines[0]) == [False, ["skewswitch.cli", "skewswitch.errors"]]
+    assert json.loads(lines[-1]) == [False, sorted(f"skewswitch.{m}" for m in ["cli", "errors", *layers])]
 
 
 def run_without_numpy(argv, cwd):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import helpers as H
 import orbit_oracle as O
 from skewswitch import (
-    ORBIT_GUARD,
+    ENUM_GUARD,
     NotCoprimeError,
     ResourceGuardError,
     eulerian_in_orbit,
@@ -171,7 +171,7 @@ class TestEulerianInOrbit:
 
     def test_resource_guard(self):
         # gcd(16, 4) = 4 leaves a coset of 4^15 switchings, over the guard
-        assert 4**15 > ORBIT_GUARD
+        assert 4**15 > ENUM_GUARD
         with pytest.raises(ResourceGuardError, match=r"4\^15"):
             eulerian_in_orbit(H.zero(4, 16))
 
@@ -211,7 +211,7 @@ class TestEulerianInOrbit:
 
     def test_output_guard_admits_zero_two_sixteen(self):
         # 2^14 hits of 16x16 entries, about 4.2e6, under the guard
-        assert 2**14 * 16 * 16 <= ORBIT_GUARD
+        assert 2**14 * 16 * 16 <= ENUM_GUARD
         got = eulerian_in_orbit(H.zero(2, 16))
         assert len(got) == 16384
         assert all(is_modular_eulerian(e) for e in got[:: 1024])

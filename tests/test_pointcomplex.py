@@ -455,7 +455,7 @@ class TestLeafCharge:
         candidates = [[u for u in range(c.n) if prof_p[u] == pk] for pk in prof]
         codegrees = pointcomplex._codegrees(c), pointcomplex._codegrees(cp)
         skewmat._extend_isomorphism(
-            *codegrees, candidates, spent, lambda s: leaves.append(s) or pointcomplex._carries_facets(c, cp, s)
+            *codegrees, candidates, spent, lambda s: leaves.append(s) or pointcomplex._carries_facets(c, set(cp.facets), s)
         )
         return c, cp, spent[0], len(leaves)
 
@@ -486,8 +486,8 @@ class TestFaceSearchBound:
 
     def test_charge_is_exact(self, monkeypatch):
         zero = _zero_triple_masks(H.zero(3, 8))
-        monkeypatch.setattr(pointcomplex, "ENUM_GUARD", 8 * 2**7 + 1)
+        monkeypatch.setattr(skewmat, "ENUM_GUARD", 8 * 2**7 + 1)
         assert _maximal_sets(zero) == [tuple(range(8))]
-        monkeypatch.setattr(pointcomplex, "ENUM_GUARD", 8 * 2**7)
+        monkeypatch.setattr(skewmat, "ENUM_GUARD", 8 * 2**7)
         with pytest.raises(ResourceGuardError):
             _maximal_sets(zero)

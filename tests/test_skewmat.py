@@ -17,9 +17,13 @@ from skewswitch import (
     AltMatrix,
     EquivWitness,
     ResourceGuardError,
+    brute_force_census,
     canonical_class_form,
     canonical_iso_form,
     count_switching_classes,
+    enumerate_eulerian_representatives,
+    eulerian_in_orbit,
+    facets,
     isolate,
     isomorphic,
     make,
@@ -83,6 +87,12 @@ class TestMake:
         # 2 + 2 = 4 = 0 mod 4, so entry 2 may sit opposite itself
         m = make(4, 2, [[0, 2], [2, 0]])
         assert m.entries == ((0, 2), (2, 0))
+
+    @pytest.mark.parametrize("cell", [0.5, "1", None], ids=["float", "str", "None"])
+    def test_refuses_entries_that_are_not_integers(self, cell):
+        # int() would truncate 0.5 to the zero entry and parse "1": wrong answers, not refusals
+        with pytest.raises(ValueError, match=r"entry at \(2,1\) must be an integer"):
+            make(3, 2, [[0, 1], [cell, 0]])
 
 
 class TestSwitch:
@@ -686,3 +696,21 @@ class TestWorkBound:
         for form in (canonical_iso_form, canonical_class_form):
             with pytest.raises(ResourceGuardError, match=f"over 6 vertices .* ENUM_GUARD = {2 * 326 * 6} steps"):
                 form(z)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: canonical_iso_form(H.zero(3, 6)),
+            lambda: facets(H.zero(3, 8)),
+            lambda: enumerate_eulerian_representatives(3, 5),
+            lambda: brute_force_census(3, 5),
+            lambda: eulerian_in_orbit(H.zero(2, 8)),
+        ],
+        ids=["canonical_iso_form", "facets", "enumerate_eulerian_representatives", "brute_force_census", "eulerian_in_orbit"],
+    )
+    def test_one_bound_moves_every_guard(self, monkeypatch, call):
+        # the searches, the walks and the Eulerian listing all read skewmat.ENUM_GUARD at each call
+        call()
+        monkeypatch.setattr(skewmat, "ENUM_GUARD", 100)
+        with pytest.raises(ResourceGuardError):
+            call()
